@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """The offline-train/online-infer helper loop: fit a per-branch pattern
-table on two inputs, serialize it, attach it to a baseline ensemble and
-measure the delta on a held-out third input.
+table on two inputs, serialize it, apply it to a baseline ensemble's
+simulated stream and measure the delta on a held-out third input.
 
 Run from the repository root:
 

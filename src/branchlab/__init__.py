@@ -31,7 +31,6 @@ from .depgraph import (
     DefUseWindow,
     DependencyDistribution,
     RegValueHistogram,
-    backward_slice,
     find_dependency_branches,
     regval_snapshots,
 )
@@ -47,9 +46,9 @@ from .errors import (
 )
 from .helper import (
     HelperModel,
-    HelperedPredictor,
+    HelperTelemetry,
     TrainingCorpus,
-    attach_helpers,
+    apply_helpers,
     evaluate_generalization,
     load_model,
     load_models_file,

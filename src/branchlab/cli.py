@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 
 from . import charax, depgraph, helper, pipeline, reports, synth, traceio
-from .errors import ArgumentError, BranchLabError, ConfigError
+from .errors import ArgumentError, BranchLabError, ConfigError, EmptyTargetError
 from .predictors import estimate_storage, make_predictor, simulate
 from .records import BranchKind
 
@@ -137,6 +137,8 @@ def _cmd_gen(args) -> int:
 
 def _cmd_sim(args) -> int:
     records, total, predictor, stream = _simulate_for(args)
+    if not stream:
+        raise EmptyTargetError(f"trace {args.trace} holds no COND branches")
     out = _out_dir(args)
     reports.atomic_write_text(out / "mispredictions.csv", stream.to_csv())
     mis = stream.mispredictions()

@@ -106,17 +106,12 @@ class DefUseWindow:
 
     def slice_at(self, seq: int) -> frozenset[ValueInstance]:
         """Backward slice of the retained instruction at ``seq``, relative
-        to its own trailing window (the state it was pushed with)."""
+        to its own trailing window (the state it was pushed with): reads of
+        locations last written before that window collapse to (SOURCE, loc)."""
         try:
             return self._deps[seq]
         except KeyError:
             raise ArgumentError(f"seq {seq} is not retained in the window") from None
-
-
-def backward_slice(window: DefUseWindow, target_seq: int) -> frozenset[ValueInstance]:
-    """Transitive producer set of the instruction at ``target_seq``; reads of
-    locations last written before the window collapse to (SOURCE, loc)."""
-    return window.slice_at(target_seq)
 
 
 @dataclass(frozen=True)

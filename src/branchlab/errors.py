@@ -22,7 +22,8 @@ class ConfigError(BranchLabError, ValueError):
 
 
 class EmptyTargetError(BranchLabError):
-    """The requested target ip never executes in the analyzed trace."""
+    """The requested target ip, or any COND branch at all, never executes
+    in the analyzed trace."""
 
 
 class TrainingError(BranchLabError):

@@ -2,10 +2,10 @@
 
 A helper is a small model specialized to one static branch, trained
 offline from traces of the same program over several inputs, serialized
-to a sidecar file, and attached to a baseline predictor at simulation
-time. At prediction the helper overrides the baseline only for its own
-ip and only when its confidence clears the model's threshold; its
-parameters never change online.
+to a sidecar file, and applied to a baseline predictor's simulated
+misprediction stream. A helper overrides the baseline's prediction only
+at its own ip and only when its confidence clears the model's threshold;
+its parameters never change online, and it never changes the baseline.
 
 Two kinds:
   pattern-table  exact h-bit global-history pattern -> direction counts
@@ -22,7 +22,15 @@ import zlib
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import ArgumentError, ConfigError, CorruptModel, FormatError, TrainingError
+from .errors import (
+    ArgumentError,
+    ConfigError,
+    CorruptModel,
+    EmptyTargetError,
+    FormatError,
+    TrainingError,
+)
+from .predictors.simulate import MispredictionStream, SimRecord
 from .records import BranchKind, BranchRecord
 
 HM1_MAGIC = b"HM01"
@@ -314,7 +322,7 @@ def load_models_file(path) -> list[HelperModel]:
         return deserialize_models(fh.read())
 
 
-# --- composite predictor ----------------------------------------------
+# --- helpers over a baseline's stream ---------------------------------
 
 @dataclass
 class HelperTelemetry:
@@ -323,71 +331,38 @@ class HelperTelemetry:
     override_correct: int = 0
 
 
-class HelperedPredictor:
-    """Baseline predictor plus frozen per-ip helpers.
+def apply_helpers(
+    stream: MispredictionStream, models: Sequence[HelperModel], tau: float | None = None
+) -> tuple[MispredictionStream, dict[int, HelperTelemetry]]:
+    """The baseline's stream with frozen per-ip helpers applied, and each
+    helper's telemetry.
 
-    For a COND branch at a covered ip, the helper's direction is used when
-    its confidence is >= the model's tau; the baseline still trains on
-    every branch, so with zero helpers the composite's misprediction
-    stream equals the baseline's exactly."""
-
-    def __init__(self, baseline, models: Sequence[HelperModel] = (), tau: float | None = None):
-        ips = [m.ip for m in models]
-        if len(set(ips)) != len(ips):
-            raise ConfigError("duplicate helper ips")
-        self.baseline = baseline
-        self.helpers: dict[int, HelperModel] = {m.ip: m for m in models}
-        self.tau_override = tau
-        self.telemetry: dict[int, HelperTelemetry] = {ip: HelperTelemetry() for ip in self.helpers}
-        self._history = 0
-
-    def _helper_call(self, rec: BranchRecord) -> tuple[bool, float] | None:
-        model = self.helpers.get(rec.ip)
-        if model is None:
-            return None
-        taken, conf = model.predict(self._history)
-        tau = self.tau_override if self.tau_override is not None else model.tau
-        if conf >= tau:
-            return taken, conf
-        return None
-
-    def predict(self, rec: BranchRecord) -> tuple[bool, int]:
-        call = self._helper_call(rec)
-        if call is not None:
-            return call[0], 3
-        return self.baseline.predict(rec)
-
-    def step(self, rec: BranchRecord):
-        if rec.kind is not BranchKind.COND:
-            self.baseline.step(rec)
-            return None
-        call = self._helper_call(rec)
-        if rec.ip in self.telemetry:
-            self.telemetry[rec.ip].queries += 1
-        base = self.baseline.step(rec)
-        if call is None:
-            predicted, provider = base
-        else:
-            predicted = call[0]
-            provider = "helper"
-            t = self.telemetry[rec.ip]
-            t.overrides += 1
-            if predicted == rec.taken:
-                t.override_correct += 1
-        self._history = (self._history << 1) | int(rec.taken)
-        self._history &= (1 << MAX_HISTORY) - 1
-        return predicted, provider
-
-    def update(self, rec: BranchRecord) -> None:
-        self.step(rec)
-
-    def storage_bytes(self) -> int:
-        extra = len(serialize_models(list(self.helpers.values()))) if self.helpers else 0
-        return self.baseline.storage_bytes() + extra
-
-
-def attach_helpers(baseline, models: Sequence[HelperModel], tau: float | None = None) -> HelperedPredictor:
-    return HelperedPredictor(baseline, models, tau)
+    At a helper's ip the prediction becomes the helper's when its
+    confidence is >= tau (the model's own unless ``tau`` overrides it). A
+    frozen helper never changes the baseline, which trains on every
+    branch, and its history is the actual outcomes of the earlier COND
+    branches, so both follow from the baseline's stream alone; with zero
+    helpers the stream comes back unchanged."""
+    helpers = {m.ip: m for m in models}
+    if len(helpers) != len(models):
+        raise ConfigError("duplicate helper ips")
+    telemetry = {ip: HelperTelemetry() for ip in helpers}
+    out: list[SimRecord] = []
+    history = 0
+    mask = (1 << MAX_HISTORY) - 1
+    for rec in stream:
+        model = helpers.get(rec.ip)
+        if model is not None:
+            t = telemetry[rec.ip]
+            t.queries += 1
+            taken, conf = model.predict(history)
+            if conf >= (model.tau if tau is None else tau):
+                t.overrides += 1
+                t.override_correct += taken == rec.actual
+                rec = SimRecord(rec.seq, rec.ip, taken, rec.actual, "helper")
+        out.append(rec)
+        history = ((history << 1) | rec.actual) & mask
+    return MispredictionStream(out), telemetry
 
 
 # --- generalization evaluation ----------------------------------------
@@ -421,21 +396,20 @@ def evaluate_generalization(
     seed: int = 0,
     tau: float | None = None,
 ) -> GeneralizationReport:
-    """Simulate the baseline alone and with helpers attached on a held-out
-    trace; report per-target and overall accuracy deltas. A model ip that
-    never executes is reported with zero executions, not an error."""
+    """Simulate the baseline once on a held-out trace, apply the helpers to
+    its stream, and report per-target and overall accuracy deltas. A model
+    ip that never executes is reported with zero executions, not an error."""
     from .charax import per_ip_totals
     from .predictors import make_predictor, simulate
 
-    records = list(records)
-
-    def build():
-        if isinstance(baseline, (str, dict)):
-            return make_predictor(baseline, seed=seed)
-        return baseline()   # factory for pre-built configs
-
-    base_stream = simulate(records, build())
-    comp_stream = simulate(records, attach_helpers(build(), models, tau))
+    if isinstance(baseline, (str, dict)):
+        predictor = make_predictor(baseline, seed=seed)
+    else:
+        predictor = baseline()   # factory for pre-built configs
+    base_stream = simulate(records, predictor)
+    if not base_stream:
+        raise EmptyTargetError("trace holds no COND branches")
+    comp_stream, _ = apply_helpers(base_stream, models, tau)
     base_stats = per_ip_totals(base_stream)
     comp_stats = per_ip_totals(comp_stream)
     rows = []

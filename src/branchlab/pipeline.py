@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from .charax import IpStats, per_ip_totals
-from .errors import ArgumentError
+from .errors import ArgumentError, EmptyTargetError
 from .records import BranchRecord
 
 DEFAULT_WIDTH = 4
@@ -258,6 +258,8 @@ def storage_sweep(
     acc_by_budget: dict[int, float] = {}
     for budget in sorted(set(budgets) | {anchor_budget}):
         stream = simulate(records, TageSCL(budget, seed=seed))
+        if not stream:
+            raise EmptyTargetError("trace holds no COND branches")
         mis_by_budget[budget] = stream.mispredictions()
         acc_by_budget[budget] = stream.accuracy()
 

@@ -18,6 +18,7 @@ as ``step`` on each record; ``simulate`` uses it when present.
 
 from __future__ import annotations
 
+from ..errors import ConfigError
 from ..records import BranchKind, BranchRecord
 
 
@@ -40,6 +41,12 @@ class ConditionalPredictor:
             out = (taken, self.name)
         self.update(record)
         return out
+
+
+def require_pow2(n: int, what: str) -> int:
+    if n < 1 or n & (n - 1):
+        raise ConfigError(f"{what} must be a power of two, got {n}")
+    return n
 
 
 def clamp(value: int, lo: int, hi: int) -> int:

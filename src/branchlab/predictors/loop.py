@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..errors import ConfigError
 from ..records import BranchKind, BranchRecord
+from .base import require_pow2
 
 # per-entry field widths, bits: tag 10, past 12, current 12, conf 2, age 3
 ENTRY_BITS = 39
@@ -40,9 +40,7 @@ class LoopLookup:
 
 class LoopPredictor:
     def __init__(self, entries: int = 64, tag_bits: int = 10):
-        if entries < 1 or entries & (entries - 1):
-            raise ConfigError(f"loop entries must be a power of two, got {entries}")
-        self.entries = entries
+        self.entries = require_pow2(entries, "loop entries")
         self.tag_bits = tag_bits
         self._idx_bits = entries.bit_length() - 1
         self.table = [LoopEntry() for _ in range(entries)]

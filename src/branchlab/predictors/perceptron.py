@@ -12,7 +12,7 @@ import math
 
 from ..errors import ConfigError
 from ..records import BranchKind, BranchRecord
-from .base import ConditionalPredictor, clamp
+from .base import ConditionalPredictor, clamp, require_pow2
 from .history import GlobalHistory
 
 
@@ -22,8 +22,7 @@ class Perceptron(ConditionalPredictor):
     def __init__(self, history_length: int = 28, rows: int = 256, weight_bits: int = 8):
         if history_length < 1:
             raise ConfigError(f"history length must be >= 1, got {history_length}")
-        if rows < 1 or rows & (rows - 1):
-            raise ConfigError(f"rows must be a power of two, got {rows}")
+        require_pow2(rows, "rows")
         if weight_bits < 2:
             raise ConfigError(f"weight bits must be >= 2, got {weight_bits}")
         self.history_length = history_length

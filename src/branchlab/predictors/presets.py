@@ -23,7 +23,7 @@ from pathlib import Path
 
 from ..errors import ConfigError
 from .base import ConditionalPredictor
-from .ensemble import EnsembleConfig, TageSCL, ensemble_config, resolve_budget
+from .ensemble import TageSCL, ensemble_config, resolve_budget
 from .perceptron import Perceptron
 from .simple import AlwaysTaken, Bimodal, Gshare
 from .tage import Tage, TageConfig
@@ -116,12 +116,8 @@ def load_predictor_config(path: str | Path) -> dict[str, str]:
 def estimate_storage(obj) -> int:
     """Modeled table storage in bytes for a config, preset string, config
     mapping, or live predictor."""
-    if isinstance(obj, str):
+    if isinstance(obj, (str, dict)):
         return make_predictor(obj).storage_bytes()
-    if isinstance(obj, dict):
-        return make_predictor(obj).storage_bytes()
-    if isinstance(obj, (TageConfig, EnsembleConfig)):
-        return obj.storage_bytes()
     if hasattr(obj, "storage_bytes"):
         return obj.storage_bytes()
     raise ConfigError(f"cannot estimate storage for {type(obj).__name__}")

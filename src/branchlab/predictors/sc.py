@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import compress
 
 from ..errors import ConfigError
-from .base import clamp
+from .base import clamp, require_pow2
 
 WINDOWS = (8, 16, 32)
 _SHEARS = tuple(3 + k for k in range(len(WINDOWS)))
@@ -33,9 +33,8 @@ class CorrectorConfig:
     theta_max: int = 63
 
     def validate(self) -> None:
-        for n, what in ((self.bias_entries, "bias_entries"), (self.vector_rows, "vector_rows")):
-            if n < 1 or n & (n - 1):
-                raise ConfigError(f"{what} must be a power of two, got {n}")
+        require_pow2(self.bias_entries, "bias_entries")
+        require_pow2(self.vector_rows, "vector_rows")
         if self.weight_bits < 2:
             raise ConfigError(f"weight_bits must be >= 2, got {self.weight_bits}")
         if not (self.theta_min <= self.theta_init <= self.theta_max):

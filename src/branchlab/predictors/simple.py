@@ -4,14 +4,8 @@ from __future__ import annotations
 
 from ..errors import ConfigError
 from ..records import BranchKind, BranchRecord
-from .base import ConditionalPredictor, clamp, counter_confidence
+from .base import ConditionalPredictor, clamp, counter_confidence, require_pow2
 from .history import GlobalHistory, fold_history
-
-
-def _require_pow2(n: int, what: str) -> int:
-    if n < 1 or n & (n - 1):
-        raise ConfigError(f"{what} must be a power of two, got {n}")
-    return n
 
 
 class AlwaysTaken(ConditionalPredictor):
@@ -35,7 +29,7 @@ class Bimodal(ConditionalPredictor):
     name = "bimodal"
 
     def __init__(self, entries: int = 4096):
-        self.entries = _require_pow2(entries, "bimodal entries")
+        self.entries = require_pow2(entries, "bimodal entries")
         self._mask = entries - 1
         self.table = [1] * entries
 
@@ -62,7 +56,7 @@ class Gshare(ConditionalPredictor):
     name = "gshare"
 
     def __init__(self, entries: int = 16384, history_length: int | None = None):
-        self.entries = _require_pow2(entries, "gshare entries")
+        self.entries = require_pow2(entries, "gshare entries")
         self.index_bits = entries.bit_length() - 1
         self.history_length = self.index_bits if history_length is None else history_length
         if self.history_length < 1:

@@ -19,7 +19,7 @@ import numpy as np
 
 from ..errors import ConfigError
 from ..records import BranchKind, BranchRecord
-from .base import ConditionalPredictor, clamp, counter_confidence
+from .base import ConditionalPredictor, clamp, counter_confidence, require_pow2
 from .history import GlobalHistory, fold_history, fold_trace
 
 # use-alt heuristic: entry counts as newly allocated for this many updates
@@ -30,12 +30,6 @@ PATH_MIX_BITS = 32
 TRACE_BLOCK = 1 << 14
 # pc bits kept for the numpy hashes; indices and tags read far fewer
 _PC_MASK = (1 << 62) - 1
-
-
-def _require_pow2(n: int, what: str) -> int:
-    if n < 1 or n & (n - 1):
-        raise ConfigError(f"{what} must be a power of two, got {n}")
-    return n
 
 
 @dataclass(frozen=True)
@@ -92,8 +86,8 @@ class TageConfig:
         return tuple(lengths)
 
     def validate(self) -> None:
-        _require_pow2(self.entries_per_table, "entries_per_table")
-        _require_pow2(self.base_entries, "base_entries")
+        require_pow2(self.entries_per_table, "entries_per_table")
+        require_pow2(self.base_entries, "base_entries")
         if self.counter_bits < 2:
             raise ConfigError(f"counter_bits must be >= 2, got {self.counter_bits}")
         if self.useful_bits < 1:

@@ -30,7 +30,7 @@ from branchlab.depgraph import find_dependency_branches
 from branchlab.errors import CorruptModel
 from branchlab.helper import (
     TrainingCorpus,
-    attach_helpers,
+    apply_helpers,
     deserialize_models,
     evaluate_generalization,
     serialize_models,
@@ -438,7 +438,7 @@ def test_criterion_11_helper_generalizes_to_held_out_input():
 def test_criterion_11_zero_helpers_change_nothing():
     records = _helper_branches(3)
     bare = simulate(records, make_predictor("tage-sc-l:8kb"))
-    wrapped = simulate(records, attach_helpers(make_predictor("tage-sc-l:8kb"), []))
+    wrapped, _ = apply_helpers(bare, [])
     assert wrapped.to_csv() == bare.to_csv()
 
 

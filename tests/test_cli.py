@@ -381,6 +381,25 @@ class TestHelperCommands:
         assert code == 1
 
 
+@pytest.mark.parametrize("command", ["sim", "sweep", "eval-helper"])
+def test_trace_without_cond_branches_is_one_line_data_error(command, helper_ws, tmp_path):
+    trace = tmp_path / "uncond.bt1b"
+    traceio.save_trace(trace, [BranchRecord(i, 0x1000 + 4 * i, BranchKind.UNCOND, 0x2000)
+                               for i in range(10)])
+    extra = ["--models", str(helper_ws["models"])] if command == "eval-helper" else []
+    proc = subprocess.run(
+        [sys.executable, "-m", "branchlab.cli", command, "--trace", str(trace), *extra,
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("branchlab: error: ")
+    assert lines[0].endswith("holds no COND branches")
+
+
 class TestParser:
     def test_unknown_command_is_usage_error(self, capsys):
         assert main(["frobnicate"]) == 2

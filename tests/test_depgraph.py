@@ -14,7 +14,6 @@ from branchlab.depgraph import (
     SOURCE,
     DefUseWindow,
     DependencyDistribution,
-    backward_slice,
     find_dependency_branches,
     regval_snapshots,
 )
@@ -214,7 +213,7 @@ class TestDefUseWindow:
         records = [instr(0, writes=[(1, 5)]), instr(1, reads=[1]), instr(2, reads=[1])]
         for r in records:
             win.push(r)
-        assert backward_slice(win, 2) == frozenset({(0, ("r", 1))})
+        assert win.slice_at(2) == frozenset({(0, ("r", 1))})
         # cut at seq 2 is 0, so seq 0 is still retained; the next push evicts it
         win.push(instr(3))
         with pytest.raises(ArgumentError):

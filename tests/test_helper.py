@@ -1,4 +1,5 @@
-"""Offline helper models: training, HM1 serialization, attachment."""
+"""Offline helper models: training, HM1 serialization, applying helpers to a
+baseline's stream."""
 
 import random
 import struct
@@ -21,9 +22,8 @@ from branchlab.helper import (
     PATTERN_TABLE,
     PERCEPTRON,
     HelperModel,
-    HelperedPredictor,
     TrainingCorpus,
-    attach_helpers,
+    apply_helpers,
     deserialize_models,
     evaluate_generalization,
     load_model,
@@ -33,7 +33,7 @@ from branchlab.helper import (
     serialize_models,
     train_helper,
 )
-from branchlab.predictors import make_predictor, simulate
+from branchlab.predictors import SimRecord, make_predictor, simulate
 from branchlab.records import BranchKind, BranchRecord
 
 A_IP = 0x1000
@@ -281,14 +281,19 @@ class TestHM1:
         assert list(tmp_path.iterdir()) == [path]
 
 
-# --- composite predictor ------------------------------------------------------
+# --- helpers over a baseline's stream ------------------------------------------
 
-class TestHelperedPredictor:
+def overlay(records, baseline, models, tau=None):
+    return apply_helpers(simulate(records, make_predictor(baseline)), models, tau)
+
+
+class TestApplyHelpers:
     def test_zero_helpers_stream_is_byte_identical(self):
         records = position_one_trace(seed=7, n=800)
         bare = simulate(records, make_predictor("gshare:16k"))
-        wrapped = simulate(records, attach_helpers(make_predictor("gshare:16k"), []))
+        wrapped, telemetry = apply_helpers(bare, [])
         assert wrapped.to_csv() == bare.to_csv()
+        assert telemetry == {}
 
     def test_online_history_matches_corpus_convention(self):
         # train on one input, evaluate on another; the position-1 rule is
@@ -297,11 +302,10 @@ class TestHelperedPredictor:
         corpus.add("t0", "in-a", position_one_trace(seed=1, n=1200))
         model = train_helper(corpus, T_IP, kind=PATTERN_TABLE, h=1)
         held_out = position_one_trace(seed=2, n=600)
-        composite = attach_helpers(make_predictor("bimodal:4k"), [model])
-        stream = simulate(held_out, composite)
+        stream, telemetry = overlay(held_out, "bimodal:4k", [model])
         wrong = [r for r in stream.records if r.ip == T_IP and r.predicted != r.actual]
         assert wrong == []
-        t = composite.telemetry[T_IP]
+        t = telemetry[T_IP]
         assert t.queries == 600
         assert t.overrides == 600
         assert t.override_correct == 600
@@ -310,40 +314,102 @@ class TestHelperedPredictor:
         # tie counts give confidence 0, below any positive tau
         model = HelperModel(T_IP, PATTERN_TABLE, 1, 0.5, {0: (5, 5), 1: (5, 5)})
         records = conds([(T_IP, True)] * 50)
-        composite = attach_helpers(make_predictor("bimodal:4k"), [model])
-        stream = simulate(records, composite)
+        stream, telemetry = overlay(records, "bimodal:4k", [model])
         assert all(r.provider != "helper" for r in stream.records)
-        t = composite.telemetry[T_IP]
+        t = telemetry[T_IP]
         assert t.queries == 50 and t.overrides == 0
 
     def test_tau_override_forces_or_suppresses(self):
         model = HelperModel(T_IP, PATTERN_TABLE, 1, 0.9, {0: (6, 4), 1: (6, 4)})
         records = conds([(T_IP, True)] * 20)
-        fired = attach_helpers(make_predictor("bimodal:4k"), [model], tau=0.1)
-        stream = simulate(records, fired)
+        stream, _ = overlay(records, "bimodal:4k", [model], tau=0.1)
         assert all(r.provider == "helper" for r in stream.records)
-        held = attach_helpers(make_predictor("bimodal:4k"), [model])  # model tau 0.9
-        stream = simulate(records, held)
+        stream, _ = overlay(records, "bimodal:4k", [model])  # model tau 0.9
         assert all(r.provider != "helper" for r in stream.records)
-
-    def test_predict_matches_step_direction(self):
-        model = HelperModel(T_IP, PATTERN_TABLE, 1, 0.5, {0: (9, 1), 1: (1, 9)})
-        composite = attach_helpers(make_predictor("bimodal:4k"), [model])
-        rec = conds([(T_IP, True)])[0]
-        assert composite.predict(rec) == (True, 3)
-
-    def test_storage_accounts_for_model_bytes(self):
-        base = make_predictor("bimodal:4k")
-        model = HelperModel(T_IP, PATTERN_TABLE, 1, 0.5, {0: (1, 0)})
-        composite = attach_helpers(make_predictor("bimodal:4k"), [model])
-        assert composite.storage_bytes() == base.storage_bytes() + len(
-            serialize_models([model])
-        )
 
     def test_duplicate_helper_ips_rejected(self):
         model = HelperModel(T_IP, PATTERN_TABLE, 1, 0.5, {0: (1, 0)})
         with pytest.raises(ConfigError):
-            attach_helpers(make_predictor("bimodal:4k"), [model, model])
+            overlay(conds([(T_IP, True)]), "bimodal:4k", [model, model])
+
+
+OVERLAY_IPS = (A_IP, T_IP, 0x3000)
+_NON_COND = (BranchKind.UNCOND, BranchKind.CALL, BranchKind.RET, BranchKind.INDIRECT)
+
+
+@st.composite
+def overlay_traces(draw):
+    row = st.tuples(st.sampled_from(OVERLAY_IPS + (0x4000,)),
+                    st.sampled_from((BranchKind.COND,) * 4 + _NON_COND),
+                    st.booleans())
+    # long traces carry more than 64 outcomes of history
+    rows = draw(st.one_of(st.lists(row, max_size=300), st.lists(row, min_size=100, max_size=300)))
+    return [
+        BranchRecord(seq, ip, kind, ip + 64, taken or kind is not BranchKind.COND)
+        for seq, (ip, kind, taken) in enumerate(rows)
+    ]
+
+
+@st.composite
+def overlay_models(draw):
+    ips = draw(st.lists(st.sampled_from(OVERLAY_IPS), max_size=3, unique=True))
+    models = []
+    for ip in ips:
+        # short histories match pattern keys; long ones reach past 32 bits
+        h = draw(st.one_of(st.integers(1, 4), st.integers(33, 64), st.integers(1, 64)))
+        tau = draw(st.integers(0, 8)) / 8
+        if draw(st.booleans()):
+            keys = draw(st.lists(st.integers(0, min(1 << h, 16) - 1), max_size=16, unique=True))
+            params = {k: (draw(st.integers(0, 9)), draw(st.integers(0, 9))) for k in keys}
+            models.append(HelperModel(ip, PATTERN_TABLE, h, tau, params))
+        else:
+            weights = tuple(draw(st.integers(-40, 40)) for _ in range(h + 1))
+            params = {"theta": draw(st.integers(1, 60)), "weights": weights}
+            models.append(HelperModel(ip, PERCEPTRON, h, tau, params))
+    return models
+
+
+def overlay_oracle(records, base, models, tau):
+    """Brute force: before each COND, rebuild the history integer from the
+    list of every earlier actual COND outcome (bit 0 the newest)."""
+    by_ip = {m.ip: m for m in models}
+    telemetry = {m.ip: [0, 0, 0] for m in models}
+    cond_records = [r for r in records if r.kind is BranchKind.COND]
+    assert [(r.seq, r.ip, r.taken) for r in cond_records] == [
+        (r.seq, r.ip, r.actual) for r in base
+    ]
+    outcomes = []
+    want = []
+    for rec, b in zip(cond_records, base):
+        history = sum(1 << i for i, taken in enumerate(reversed(outcomes)) if taken)
+        model = by_ip.get(rec.ip)
+        if model is None:
+            want.append(b)
+        else:
+            telemetry[rec.ip][0] += 1
+            taken, conf = model.predict(history)
+            if conf >= (model.tau if tau is None else tau):
+                telemetry[rec.ip][1] += 1
+                telemetry[rec.ip][2] += taken == rec.taken
+                want.append(SimRecord(rec.seq, rec.ip, taken, rec.taken, "helper"))
+            else:
+                want.append(b)
+        outcomes.append(rec.taken)
+    return want, {ip: tuple(t) for ip, t in telemetry.items()}
+
+
+@settings(max_examples=150, deadline=None)
+@given(overlay_traces(), overlay_models(),
+       st.one_of(st.none(), st.integers(0, 8).map(lambda k: k / 8)),
+       st.sampled_from(("bimodal:4k", "gshare:16k")))
+def test_apply_helpers_matches_brute_force_history(records, models, tau, baseline):
+    base = simulate(records, make_predictor(baseline))
+    stream, telemetry = apply_helpers(base, models, tau)
+    want, want_telemetry = overlay_oracle(records, base, models, tau)
+    assert stream.records == want
+    assert {
+        ip: (t.queries, t.overrides, t.override_correct) for ip, t in telemetry.items()
+    } == want_telemetry
 
 
 class TestGeneralization:
