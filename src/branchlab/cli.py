@@ -74,7 +74,7 @@ def _load_for_sim(path: str, fmt: str | None):
         return traceio.project_branches(instrs), len(instrs)
     records = traceio.load_branch_trace(path, resolved)
     if not records:
-        raise ArgumentError(f"trace {path} holds no branch records")
+        raise EmptyTargetError(f"trace {path} holds no branch records")
     return records, records[-1].seq + 1
 
 

@@ -7,12 +7,24 @@ backward slices contain a common ValueInstance; a prior COND branch whose
 slice shares an instance with a target branch's slice is a dependency
 branch of that target.
 
-Slices are computed once per instruction at arrival, relative to that
-instruction's own trailing window, and re-based at query time: a producer
-older than the query window degrades to SOURCE. Because the true last
-writer of a location never changes, that re-basing reproduces exactly what
-a from-scratch analysis inside the query window would compute (the oracle
-equivalence the tests check).
+Slices are computed once per instruction at arrival (DefUseWindow.push),
+relative to that instruction's own trailing window, and re-based at query
+time: a producer older than the query window degrades to SOURCE. Because
+the true last writer of a location never changes, that re-basing
+reproduces exactly what a from-scratch analysis inside the query window
+would compute (the oracle equivalence the tests check).
+
+The prior COND branches that share data with a target are found through an
+inverted index over the slices of the COND branches in the window
+(CondSliceIndex): location -> producer -> the CONDs whose slice holds
+(producer, location). A COND's entries go in when it retires and come out
+when it falls out of the trailing window, and a key left without holders
+is deleted, so the index holds no more than the window's COND slices. A
+target instance (p, loc) with p inside the target's window is one exact
+lookup; a target instance (SOURCE, loc) takes every holder of loc whose
+producer is SOURCE or older than the target's window, which is the
+re-basing rule applied from the index side. A target execution therefore
+visits only the CONDs it shares data with, not every COND in the window.
 """
 
 from __future__ import annotations
@@ -56,7 +68,6 @@ class DefUseWindow:
         self.include_memory = include_memory
         self.last_writer: dict[Location, int] = {}
         self._deps: dict[int, frozenset[ValueInstance]] = {}
-        self._direct: dict[int, frozenset[ValueInstance]] = {}
         self._order: deque[int] = deque()
         self._last_seq: int | None = None
 
@@ -83,26 +94,26 @@ class DefUseWindow:
                         full.add((p, ploc) if p >= cut else (SOURCE, ploc))
         return frozenset(direct), frozenset(full)
 
-    def push(self, rec: InstructionRecord) -> None:
+    def push(self, rec: InstructionRecord) -> tuple[
+        frozenset[ValueInstance], frozenset[ValueInstance]
+    ]:
+        """Retire ``rec`` into the window and return its (direct, transitive)
+        arrival slice. Only the transitive slice is retained."""
         if self._last_seq is not None and rec.seq <= self._last_seq:
             raise ArgumentError(f"window pushes must increase in seq, got {rec.seq}")
         self._last_seq = rec.seq
-        direct, full = self.slice_of_reads(
-            _read_locations(rec, self.include_memory), rec.seq - self.length
-        )
+        cutoff = rec.seq - self.length
+        direct, full = self.slice_of_reads(_read_locations(rec, self.include_memory), cutoff)
         self._deps[rec.seq] = full
-        self._direct[rec.seq] = direct
         self._order.append(rec.seq)
         for reg, _val in rec.regs_written:
             self.last_writer[("r", reg)] = rec.seq
         if self.include_memory:
             for a in rec.mem_written:
                 self.last_writer[("m", a)] = rec.seq
-        cutoff = rec.seq - self.length
         while self._order and self._order[0] < cutoff:
-            old = self._order.popleft()
-            del self._deps[old]
-            del self._direct[old]
+            del self._deps[self._order.popleft()]
+        return direct, full
 
     def slice_at(self, seq: int) -> frozenset[ValueInstance]:
         """Backward slice of the retained instruction at ``seq``, relative
@@ -112,6 +123,92 @@ class DefUseWindow:
             return self._deps[seq]
         except KeyError:
             raise ArgumentError(f"seq {seq} is not retained in the window") from None
+
+
+class CondSliceIndex:
+    """Inverted index over the slices of the COND branches retired into a
+    trailing window: location -> producer -> ordinals, in increasing
+    order, of the CONDs whose slice holds (producer, location).
+
+    A COND's ordinal is the number of CONDs added before it, so a COND
+    matched at a target's arrival sits ``added - ordinal`` CONDs back in
+    global history."""
+
+    def __init__(self):
+        self.added = 0
+        self._holders: dict[Location, dict[int, list[int]]] = {}
+        self._window: deque[tuple[int, frozenset[ValueInstance]]] = deque()  # (seq, slice)
+        self._ips: dict[int, int] = {}   # ordinal -> ip
+
+    def add(self, seq: int, ip: int, instances: frozenset[ValueInstance]) -> None:
+        """Index the COND at ``seq`` (seqs must increase) by ``instances``."""
+        ordinal = self.added
+        self.added += 1
+        self._window.append((seq, instances))
+        self._ips[ordinal] = ip
+        holders = self._holders
+        for p, loc in instances:
+            by_producer = holders.get(loc)
+            if by_producer is None:
+                holders[loc] = {p: [ordinal]}
+            else:
+                ordinals = by_producer.get(p)
+                if ordinals is None:
+                    by_producer[p] = [ordinal]
+                else:
+                    ordinals.append(ordinal)
+
+    def expire(self, cut: int) -> None:
+        """Drop every COND retired before seq ``cut``, and the keys it alone
+        held. CONDs leave in the order they were added, so the one leaving
+        is the first holder of each of its keys."""
+        window = self._window
+        holders = self._holders
+        while window and window[0][0] < cut:
+            _seq, instances = window.popleft()
+            ordinal = self.added - len(window) - 1
+            del self._ips[ordinal]
+            for p, loc in instances:
+                by_producer = holders[loc]
+                ordinals = by_producer[p]
+                del ordinals[0]
+                if not ordinals:
+                    del by_producer[p]
+                    if not by_producer:
+                        del holders[loc]
+
+    def matches(self, target: frozenset[ValueInstance], cut: int) -> Iterator[tuple[int, int]]:
+        """(ip, history position) of each indexed COND whose slice, re-based
+        to ``cut``, shares an instance with ``target`` (already re-based to
+        ``cut``). Position 1 is the most recently added COND."""
+        found: set[int] = set()
+        holders = self._holders
+        for p, loc in target:
+            by_producer = holders.get(loc)
+            if by_producer is None:
+                continue
+            if p != SOURCE:
+                ordinals = by_producer.get(p)
+                if ordinals:
+                    found.update(ordinals)
+            else:
+                for q, ordinals in by_producer.items():
+                    if q < cut or q == SOURCE:
+                        found.update(ordinals)
+        ips = self._ips
+        for ordinal in found:
+            yield ips[ordinal], self.added - ordinal
+
+    def entries(self) -> dict[int, frozenset[ValueInstance]]:
+        """seq -> instances of every indexed COND, read back from the index."""
+        first = self.added - len(self._window)
+        seqs = [seq for seq, _ in self._window]
+        out: dict[int, set[ValueInstance]] = {}
+        for loc, by_producer in self._holders.items():
+            for p, ordinals in by_producer.items():
+                for ordinal in ordinals:
+                    out.setdefault(seqs[ordinal - first], set()).add((p, loc))
+        return {seq: frozenset(vis) for seq, vis in out.items()}
 
 
 @dataclass(frozen=True)
@@ -164,34 +261,21 @@ def find_dependency_branches(
     ValueInstance with the target's slice, and record their global-history
     positions."""
     win = DefUseWindow(window, include_memory=include_memory)
-    conds: deque[tuple[int, int]] = deque()   # (seq, ip) of window COND branches
+    index = CondSliceIndex()
     positions: dict[int, dict[int, int]] = {}
     executions = 0
     for rec in records:
+        direct, full = win.push(rec)
+        cut = rec.seq - window
+        index.expire(cut)
         if rec.is_branch and rec.kind is BranchKind.COND:
+            own = direct if direct_reads_only else full
             if rec.ip == h2p_ip:
                 executions += 1
-                cut = rec.seq - window
-                t_direct, t_full = win.slice_of_reads(
-                    _read_locations(rec, include_memory), cut
-                )
-                target_set = t_direct if direct_reads_only else t_full
-                if target_set:
-                    pos = 0
-                    for b_seq, b_ip in reversed(conds):
-                        if b_seq < cut:
-                            break
-                        pos += 1
-                        b_set = win._direct[b_seq] if direct_reads_only else win._deps[b_seq]
-                        for p, loc in b_set:
-                            if ((p, loc) if p >= cut else (SOURCE, loc)) in target_set:
-                                hist = positions.setdefault(b_ip, {})
-                                hist[pos] = hist.get(pos, 0) + 1
-                                break
-            conds.append((rec.seq, rec.ip))
-            if len(conds) > window:
-                conds.popleft()
-        win.push(rec)
+                for ip, pos in index.matches(own, cut):
+                    hist = positions.setdefault(ip, {})
+                    hist[pos] = hist.get(pos, 0) + 1
+            index.add(rec.seq, rec.ip, own)
     if executions == 0:
         raise EmptyTargetError(f"{h2p_ip:#x} never executes as a COND branch")
     return DependencyDistribution(h2p_ip, window, executions, positions)
@@ -221,7 +305,8 @@ def regval_snapshots(
 ) -> RegValueHistogram:
     """For each execution of ``h2p_ip``, record the last written (masked)
     value of every tracked register at that moment. Registers not yet
-    written contribute nothing."""
+    written contribute nothing. A target that never executes is an
+    EmptyTargetError, as in find_dependency_branches."""
     tracked = tuple(tracked)
     if not tracked:
         raise ArgumentError("tracked register list is empty")
@@ -239,4 +324,6 @@ def regval_snapshots(
         for reg, val in rec.regs_written:
             if reg in tracked_set:
                 last[reg] = val
+    if executions == 0:
+        raise EmptyTargetError(f"{h2p_ip:#x} never executes as a COND branch")
     return RegValueHistogram(h2p_ip, tracked, mask, executions, counts)

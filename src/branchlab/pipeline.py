@@ -250,7 +250,7 @@ def storage_sweep(
         config = PipelineModelConfig()
     records = list(records)
     if not records:
-        raise ArgumentError("trace is empty")
+        raise EmptyTargetError("trace holds no branch records")
     if total_instructions is None:
         total_instructions = records[-1].seq + 1
 

@@ -278,6 +278,13 @@ class TestDepsAndRegvals:
         lines = (tmp_path / "regvals.csv").read_text().splitlines()
         assert lines[0] == "h2p_ip,reg,value_hex,count"
 
+    def test_regvals_absent_target_is_data_error(self, ws, tmp_path, capsys):
+        code, _, err = run(capsys, "regvals", "--trace", str(ws["it1b"]),
+                           "--ip", "0x123", "--out", str(tmp_path))
+        assert code == 1
+        assert err == "branchlab: error: 0x123 never executes as a COND branch\n"
+        assert not (tmp_path / "regvals.csv").exists()
+
     def test_regvals_bad_reg_list(self, ws, tmp_path, capsys):
         code, *_ = run(capsys, "regvals", "--trace", str(ws["it1b"]),
                        "--ip", hex(DD_IP), "--regs", "x-y", "--out", str(tmp_path))
@@ -398,6 +405,22 @@ def test_trace_without_cond_branches_is_one_line_data_error(command, helper_ws, 
     assert len(lines) == 1
     assert lines[0].startswith("branchlab: error: ")
     assert lines[0].endswith("holds no COND branches")
+
+
+@pytest.mark.parametrize("command", ["sim", "sweep"])
+def test_empty_branch_trace_is_one_line_data_error(command, tmp_path):
+    trace = tmp_path / "empty.bt1b"
+    traceio.save_trace(trace, [])
+    proc = subprocess.run(
+        [sys.executable, "-m", "branchlab.cli", command, "--trace", str(trace),
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines() == [
+        f"branchlab: error: trace {trace} holds no branch records"
+    ]
 
 
 class TestParser:

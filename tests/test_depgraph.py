@@ -7,9 +7,12 @@ an edge into a producer is followed iff the producer lies inside the
 *reader's* own trailing window, and every retained instance is relabeled
 against the query cut, older producers collapsing to SOURCE."""
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from branchlab import depgraph
 from branchlab.depgraph import (
     SOURCE,
     DefUseWindow,
@@ -167,6 +170,36 @@ class TestWorkedExamples:
         dist = find_dependency_branches(records, T_IP, window=2)
         assert dist.positions == {0xA00: {1: 1}}
 
+    def test_candidate_producer_older_than_target_cut_matches_source(self):
+        # The branch at seq 1 holds (0, r1): seq 0 lies inside its own
+        # window. The target's window starts at seq 1, so it reads r1 as
+        # (SOURCE, r1), and the candidate's instance re-bases to the same.
+        records = [
+            instr(0, writes=[(1, 5)]),
+            cond(1, 0xA00, reads=[1]),
+            instr(2),
+            instr(3),
+            cond(4, T_IP, reads=[1]),
+        ]
+        for direct_only in (False, True):
+            dist = find_dependency_branches(records, T_IP, window=3,
+                                            direct_reads_only=direct_only)
+            assert dist.positions == {0xA00: {1: 1}}
+
+    def test_rewrite_inside_target_window_breaks_the_match(self):
+        # Same shape, but r1 is written again at seq 2, inside the target's
+        # window: the target reads (2, r1), which the candidate's (0, r1)
+        # does not re-base to.
+        records = [
+            instr(0, writes=[(1, 5)]),
+            cond(1, 0xA00, reads=[1]),
+            instr(2, writes=[(1, 6)]),
+            instr(3),
+            cond(4, T_IP, reads=[1]),
+        ]
+        dist = find_dependency_branches(records, T_IP, window=3)
+        assert dist.positions == {}
+
     def test_memory_chain(self):
         records = [
             instr(0, mem_written=[100]),
@@ -291,6 +324,79 @@ def test_arrival_slices_match_oracle(records, window, memory):
         assert win.slice_at(rec.seq) == want_full[rec.seq]
 
 
+@st.composite
+def long_dep_traces(draw):
+    """100-400 records over few locations, so slices share data often,
+    with at least four target executions, the last one ending the trace."""
+    rng = draw(st.randoms(use_true_random=False))
+    n = draw(st.integers(100, 400))
+    p_cond = draw(st.sampled_from([0.2, 0.4, 0.6]))
+    targets = set(rng.sample(range(n), 3))
+    records = []
+    for seq in range(n):
+        regs_read = frozenset(rng.sample(range(6), rng.randint(0, 2)))
+        mem_read = frozenset(rng.sample(range(3), rng.randint(0, 1)))
+        writes = tuple((rng.randrange(6), rng.randrange(10))
+                       for _ in range(rng.randint(0, 2)))
+        mem_written = frozenset(rng.sample(range(3), rng.randint(0, 1)))
+        if seq in targets or rng.random() < p_cond:
+            ip = T_IP if seq in targets or rng.random() < 0.3 else rng.choice(COND_IPS[:-1])
+            records.append(InstructionRecord(
+                seq=seq, ip=ip, is_branch=True, kind=BranchKind.COND,
+                target=ip + 64, taken=rng.random() < 0.5,
+                regs_read=regs_read, regs_written=writes,
+                mem_read=mem_read, mem_written=mem_written,
+            ))
+        else:
+            records.append(InstructionRecord(
+                seq=seq, ip=0x2000 + seq, regs_read=regs_read,
+                regs_written=writes, mem_read=mem_read,
+                mem_written=mem_written,
+            ))
+    records.append(cond(n, T_IP, reads=[rng.randrange(6)]))
+    return records
+
+
+def scan_keeping_index(records, window, direct_only, memory):
+    """find_dependency_branches, also returning the index it built."""
+    built = []
+
+    class Recorded(depgraph.CondSliceIndex):
+        def __init__(self):
+            super().__init__()
+            built.append(self)
+
+    with mock.patch.object(depgraph, "CondSliceIndex", Recorded):
+        dist = find_dependency_branches(records, T_IP, window=window,
+                                        direct_reads_only=direct_only,
+                                        include_memory=memory)
+    (index,) = built
+    return dist, index
+
+
+@given(long_dep_traces(), st.integers(1, 50), st.booleans(), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_long_traces_match_oracle_and_index_keeps_only_last_window(
+    records, window, direct_only, memory
+):
+    dist, index = scan_keeping_index(records, window, direct_only, memory)
+    assert dist == oracle_dependencies(records, T_IP, window=window,
+                                       direct_reads_only=direct_only,
+                                       include_memory=memory)
+    assert dist.executions >= 4
+    # The index holds the slices of the CONDs in the last record's window,
+    # as retired, and nothing else: no older COND, no key without holders.
+    direct, full = oracle_slices(records, window, include_memory=memory)
+    table = direct if direct_only else full
+    last = records[-1].seq
+    want = {r.seq: table[r.seq] for r in records
+            if r.is_branch and r.kind is BranchKind.COND
+            and r.seq >= last - window and table[r.seq]}
+    assert index.entries() == want
+    assert all(by_producer and all(by_producer.values())
+               for by_producer in index._holders.values())
+
+
 # --- register-value snapshots -------------------------------------------------
 
 class TestRegvalSnapshots:
@@ -322,6 +428,10 @@ class TestRegvalSnapshots:
         hist = regval_snapshots(records, T_IP, tracked=(0, 1))
         assert hist.counts == {}
         assert hist.executions == 1
+
+    def test_never_executing_target_raises(self):
+        with pytest.raises(EmptyTargetError, match="0xb00 never executes as a COND branch"):
+            regval_snapshots([cond(0, 0xA00, reads=[1]), instr(1, writes=[(0, 1)])], T_IP)
 
     def test_empty_tracked_rejected(self):
         with pytest.raises(ArgumentError):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from branchlab.charax import IpStats
-from branchlab.errors import ArgumentError
+from branchlab.errors import ArgumentError, EmptyTargetError
 from branchlab.pipeline import (
     DEFAULT_SCALES,
     OpportunityCurve,
@@ -240,5 +240,5 @@ class TestStorageSweep:
             storage_sweep(branch_trace, budgets=())
         with pytest.raises(ArgumentError):
             storage_sweep(branch_trace, scales=())
-        with pytest.raises(ArgumentError):
+        with pytest.raises(EmptyTargetError):
             storage_sweep([])
