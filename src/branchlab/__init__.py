@@ -5,6 +5,10 @@ simulate classic predictors (bimodal, gshare, perceptron, loop, TAGE,
 TAGE-SC-L) with storage accounting, screen for hard-to-predict branches,
 slice dataflow to find dependency branches, convert mispredictions into
 analytic IPC opportunity, and train offline per-branch helper models.
+
+``load_branch_trace`` returns a trace file's branch records and its
+instruction count, from any of the four formats; ``load_instr_trace``
+returns the instruction records of an IT1 file.
 """
 
 from .charax import (

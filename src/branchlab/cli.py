@@ -66,16 +66,14 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _load_for_sim(path: str, fmt: str | None):
-    """(branch records, total instruction count) for any trace format."""
-    resolved = fmt or traceio.format_for_path(path)
-    if resolved in traceio.INSTR_FORMATS:
-        instrs = traceio.load_instr_trace(path, resolved)
-        return traceio.project_branches(instrs), len(instrs)
-    records = traceio.load_branch_trace(path, resolved)
+def _load_branches(path: str, fmt: str | None):
+    """(branch records, instruction count) of a trace; the format comes
+    from the extension unless given, and a trace without branches is a
+    data error in every format."""
+    records, instructions = traceio.load_branch_trace(path, fmt or traceio.format_for_path(path))
     if not records:
         raise EmptyTargetError(f"trace {path} holds no branch records")
-    return records, records[-1].seq + 1
+    return records, instructions
 
 
 def _build_predictor(args):
@@ -92,7 +90,7 @@ def _emit(args, summary: dict) -> None:
 
 
 def _simulate_for(args):
-    records, total = _load_for_sim(args.trace, args.format)
+    records, total = _load_branches(args.trace, args.format)
     predictor = _build_predictor(args)
     stream = simulate(records, predictor)
     return records, total, predictor, stream
@@ -228,7 +226,7 @@ def _cmd_rare(args) -> int:
 
 
 def _cmd_recur(args) -> int:
-    records, _total = _load_for_sim(args.trace, args.format)
+    records, _total = _load_branches(args.trace, args.format)
     report = charax.recurrence_intervals(records)
     out = _out_dir(args)
     reports.write_recurrence_csv(out / "recurrence.csv", report)
@@ -337,7 +335,7 @@ def _cmd_limit(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    records, total = _load_for_sim(args.trace, args.format)
+    records, total = _load_branches(args.trace, args.format)
     sweep = pipeline.storage_sweep(
         records,
         budgets=args.budgets,
@@ -366,7 +364,7 @@ def _corpus_from_args(args) -> helper.TrainingCorpus:
     corpus = helper.TrainingCorpus()
     for item in args.trace:
         path, _, input_id = item.partition("=")
-        records, _ = _load_for_sim(path, args.format)
+        records, _ = _load_branches(path, args.format)
         corpus.add(Path(path).name, input_id or Path(path).stem, records)
     return corpus
 
@@ -399,7 +397,7 @@ def _cmd_train_helper(args) -> int:
 
 def _cmd_eval_helper(args) -> int:
     models = helper.load_models_file(args.models)
-    records, _total = _load_for_sim(args.trace, args.format)
+    records, _total = _load_branches(args.trace, args.format)
     report = helper.evaluate_generalization(
         models, records, baseline=args.baseline, seed=args.seed, tau=args.tau
     )

@@ -17,6 +17,14 @@ Four on-disk formats, two per trace level:
 
 Readers verify magic/header (FormatError), strictly increasing seq, declared
 counts, and per-record invariants (CorruptTrace).
+
+Branch-level analyses load through ``load_branch_trace``, which returns the
+branch records and the trace's instruction count. On it1-bin it does not
+decode instructions: ``_read_it1_bin_branches`` steps over each record's
+operand payloads by their count bytes and builds a ``BranchRecord`` for the
+branch records alone, with every check of the full reader and the same
+errors. A stream it finds truncated is handed to the full reader, which
+raises the error it would have raised, naming the same offset.
 """
 
 from __future__ import annotations
@@ -39,6 +47,8 @@ BT1_MAGIC = b"BT01"
 IT1_MAGIC = b"IT01"
 _BT1_REC = struct.Struct("<QQQBB")
 _U64 = struct.Struct("<Q")
+_IT1_HEAD = struct.Struct("<QQB")     # seq, ip, is_branch
+_IT1_BRANCH = struct.Struct("<BQB")   # kind code, target, taken
 
 BRANCH_FORMATS = ("bt1-text", "bt1-bin")
 INSTR_FORMATS = ("it1-jsonl", "it1-bin")
@@ -349,6 +359,69 @@ def _read_it1_bin(data: bytes) -> list[InstructionRecord]:
     return records
 
 
+def _read_it1_bin_branches(data: bytes) -> tuple[list[BranchRecord], int]:
+    """(branch records, instruction count) of an it1-bin stream, with every
+    check of ``_read_it1_bin`` and the same errors. Operand payloads are
+    stepped over by their count bytes; only branch records are built."""
+    if not data.startswith(IT1_MAGIC):
+        raise FormatError("missing IT01 magic")
+    end = len(data)
+    off = len(IT1_MAGIC) + 8
+    if off > end:
+        raise CorruptTrace(f"truncated stream at offset {len(IT1_MAGIC)}")
+    (count,) = _U64.unpack_from(data, len(IT1_MAGIC))
+    head = _IT1_HEAD.unpack_from
+    tail = _IT1_BRANCH.unpack_from
+    kinds = CODE_TO_KIND.get
+    cond = BranchKind.COND
+    branches: list[BranchRecord] = []
+    last_seq = -1
+    for i in range(count):
+        try:
+            seq, ip, is_branch = head(data, off)
+            off += _IT1_HEAD.size
+            if is_branch:
+                kind_code, target, taken = tail(data, off)
+                off += _IT1_BRANCH.size
+            n_regs = data[off]
+            off += 1 + n_regs
+            off += 1 + 9 * data[off]
+            n_mem = data[off]
+            off += 1 + 8 * n_mem
+            off += 1 + 8 * data[off]
+        except (IndexError, struct.error):
+            off = end + 1
+        if off > end:
+            # record i overruns the stream; every record before it passed
+            # the full reader's checks, so the full reader stops in record
+            # i too, at a bad byte ahead of the cut or at the cut itself
+            _read_it1_bin(data)
+            raise CorruptTrace(f"truncated stream in record {i}")
+        if is_branch:
+            if is_branch != 1:
+                raise CorruptTrace(f"record {i}: is_branch byte {is_branch}")
+            kind = kinds(kind_code)
+            if kind is None:
+                raise CorruptTrace(f"record {i}: unknown kind code {kind_code}")
+            if taken > 1:
+                raise CorruptTrace(f"record {i}: taken byte {taken}")
+        if seq <= last_seq:
+            raise CorruptTrace(f"record {i}: seq {seq} not greater than previous {last_seq}")
+        last_seq = seq
+        if is_branch:
+            if kind is cond:
+                if not (n_regs or n_mem):
+                    raise CorruptTrace(f"record {i}: COND branch at seq {seq} reads nothing")
+            elif not taken:
+                raise CorruptTrace(
+                    f"record {i}: non-COND branch at seq {seq} marked not taken"
+                )
+            branches.append(BranchRecord(seq, ip, kind, target, taken == 1))
+    if off != end:
+        raise CorruptTrace(f"{end - off} trailing bytes after {count} records")
+    return branches, count
+
+
 # ---------------------------------------------------------------- shared
 
 def _check_order(records: list) -> None:
@@ -389,13 +462,23 @@ def save_trace(path: str | Path, records: list, fmt: str | None = None) -> None:
     path.write_bytes(data)
 
 
-def load_branch_trace(path: str | Path, fmt: str | None = None) -> list[BranchRecord]:
-    """Load branches from any trace file; instruction traces are projected."""
+def load_branch_trace(
+    path: str | Path, fmt: str | None = None
+) -> tuple[list[BranchRecord], int]:
+    """(branch records, instruction count) of any trace file.
+
+    A BT1 trace does not record its instruction count, so it is the last
+    seq + 1 (0 when empty). An it1-jsonl trace is read whole and projected;
+    an it1-bin trace is walked for its branches only."""
     data = Path(path).read_bytes()
     fmt = fmt or detect_format(data)
     if fmt in BRANCH_FORMATS:
-        return read_branch_trace(data, fmt)
-    return project_branches(read_instr_trace(data, fmt))
+        records = read_branch_trace(data, fmt)
+        return records, (records[-1].seq + 1 if records else 0)
+    if fmt == "it1-bin":
+        return _read_it1_bin_branches(data)
+    instrs = read_instr_trace(data, fmt)
+    return project_branches(instrs), len(instrs)
 
 
 def load_instr_trace(path: str | Path, fmt: str | None = None) -> list[InstructionRecord]:

@@ -118,7 +118,10 @@ class TestGen:
         code, *_ = run(capsys, "gen", "--spec", str(ws["spec"]), "--len", "8000",
                        "--out", str(out), "--format", "bt1-bin")
         assert code == 0
-        assert traceio.load_branch_trace(out, "bt1-bin")
+        records, instructions = traceio.load_branch_trace(out, "bt1-bin")
+        assert records
+        # a BT1 trace's instruction count is its last seq + 1
+        assert instructions == records[-1].seq + 1 <= 8000
 
 
 class TestSim:
@@ -407,20 +410,60 @@ def test_trace_without_cond_branches_is_one_line_data_error(command, helper_ws, 
     assert lines[0].endswith("holds no COND branches")
 
 
-@pytest.mark.parametrize("command", ["sim", "sweep"])
-def test_empty_branch_trace_is_one_line_data_error(command, tmp_path):
-    trace = tmp_path / "empty.bt1b"
-    traceio.save_trace(trace, [])
-    proc = subprocess.run(
-        [sys.executable, "-m", "branchlab.cli", command, "--trace", str(trace),
-         "--out", str(tmp_path / "out")],
-        capture_output=True, text=True,
-    )
-    assert proc.returncode == 1
-    assert "Traceback" not in proc.stderr
-    assert proc.stderr.splitlines() == [
-        f"branchlab: error: trace {trace} holds no branch records"
+@pytest.mark.parametrize("command", ["sim", "sweep", "hh", "h2p", "rare", "recur", "limit",
+                                     "train-helper", "eval-helper"])
+def test_empty_branch_trace_is_one_line_data_error(command, helper_ws, tmp_path):
+    # one rule for every format: a trace without branch records is a data error
+    for ext in (".bt1b", ".it1b", ".it1"):
+        trace = tmp_path / f"empty{ext}"
+        traceio.save_trace(trace, [])
+        if command == "train-helper":
+            extra = ["--ip", hex(HELPER_IP), "--out", str(tmp_path / "m.hm1")]
+        else:
+            extra = ["--out", str(tmp_path / "out")]
+        if command == "eval-helper":
+            extra += ["--models", str(helper_ws["models"])]
+        proc = subprocess.run(
+            [sys.executable, "-m", "branchlab.cli", command, "--trace", str(trace), *extra],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 1, (ext, proc.stderr)
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.splitlines() == [
+            f"branchlab: error: trace {trace} holds no branch records"
+        ], ext
+        assert not (tmp_path / "out").exists() and not (tmp_path / "m.hm1").exists()
+
+
+def test_reports_agree_across_it1_formats(ws, tmp_path, capsys):
+    """The it1-jsonl twin is read whole and projected, the it1-bin trace is
+    walked for its branches only: every report must be the same bytes, apart
+    from the trace path that the summaries name."""
+    twin = tmp_path / "trace.it1"
+    assert main(["gen", "--spec", str(ws["spec"]), "--seed", "9", "--len", "8000",
+                 "--out", str(twin)]) == 0
+    commands = [
+        ["sim", "--predictor", "gshare:16k"],
+        ["hh", "--predictor", "gshare:16k"],
+        ["h2p", "--predictor", "gshare:16k", "--slice-len", "4000", "--min-execs", "50",
+         "--min-mis", "10"],
+        ["rare", "--predictor", "bimodal:4k", "--bin-width", "50"],
+        ["recur"],
+        ["limit", "--predictor", "gshare:16k", "--scales", "1,4", "--perfect-ips", hex(DD_IP)],
+        ["sweep", "--budgets", "8192", "--scales", "1,8"],
     ]
+    for argv in commands:
+        reports = {}
+        for trace in (ws["it1b"], twin):
+            out = tmp_path / trace.suffix.lstrip(".") / argv[0]
+            code, *_ = run(capsys, argv[0], "--trace", str(trace), *argv[1:], "--out", str(out))
+            assert code == 0, argv
+            reports[trace.suffix] = {
+                name: data.replace(str(trace).encode(), b"<trace>")
+                for name, data in read_all(out).items()
+            }
+        assert reports[".it1b"] == reports[".it1"], argv[0]
+        assert len(reports[".it1b"]) == 2, argv[0]
 
 
 class TestParser:

@@ -1,11 +1,14 @@
 """Serialization roundtrips and stream validation for the trace formats."""
 
+import struct
+
 import pytest
 from hypothesis import given, strategies as st
 
-from branchlab.errors import ArgumentError, CorruptTrace, FormatError
+from branchlab.errors import ArgumentError, BranchLabError, CorruptTrace, FormatError
 from branchlab.records import BranchKind, BranchRecord, InstructionRecord
 from branchlab.traceio import (
+    _read_it1_bin_branches,
     detect_format,
     format_for_path,
     load_branch_trace,
@@ -110,6 +113,106 @@ class TestInstrRoundtrip:
             write_instr_trace([r], "it1-bin")
 
 
+def _outcome(read, data):
+    """What ``read(data)`` returns, or the class and message it raises."""
+    try:
+        return read(data)
+    except BranchLabError as e:
+        return type(e), str(e)
+
+
+def _full_read(data):
+    """The oracle for the branch-only reader: decode every instruction,
+    then project."""
+    instrs = read_instr_trace(data, "it1-bin")
+    return project_branches(instrs), len(instrs)
+
+
+@st.composite
+def mutated_it1_bins(draw):
+    data = bytearray(write_instr_trace(draw(instr_traces(max_size=12)), "it1-bin"))
+    how = draw(st.sampled_from(["set", "truncate", "append", "count"]))
+    if how == "set":
+        for _ in range(draw(st.integers(1, 3))):
+            pos = draw(st.integers(4, len(data) - 1))   # past the magic
+            data[pos] = draw(st.one_of(st.sampled_from([0, 1, 2, 4, 5, 9, 255]),
+                                       st.integers(0, 255)))
+    elif how == "truncate":
+        del data[draw(st.integers(0, len(data) - 1)):]
+    elif how == "append":
+        data += draw(st.binary(min_size=1, max_size=20))
+    else:
+        (count,) = struct.unpack_from("<Q", data, 4)
+        struct.pack_into("<Q", data, 4, max(0, count + draw(st.integers(-3, 3))))
+    return bytes(data)
+
+
+class TestBranchOnlyReader:
+    @given(instr_traces())
+    def test_valid_stream_matches_full_decode(self, records):
+        data = write_instr_trace(records, "it1-bin")
+        assert _read_it1_bin_branches(data) == _full_read(data)
+
+    @given(mutated_it1_bins())
+    def test_mutated_stream_fails_like_full_decode(self, data):
+        assert _outcome(_read_it1_bin_branches, data) == _outcome(_full_read, data)
+
+    def test_every_truncation_fails_like_full_decode(self):
+        records = [
+            InstructionRecord(seq=0, ip=0x10, regs_read=frozenset((1, 2)),
+                              regs_written=((3, 7), (4, 8)), mem_read=frozenset((0x100,)),
+                              mem_written=frozenset((0x200, 0x208))),
+            InstructionRecord(seq=1, ip=0x14, is_branch=True, kind=BranchKind.COND,
+                              target=0x40, taken=False, mem_read=frozenset((0x100,))),
+            InstructionRecord(seq=2, ip=0x18, is_branch=True, kind=BranchKind.CALL,
+                              target=0x80, taken=True),
+        ]
+        data = write_instr_trace(records, "it1-bin")
+        assert _read_it1_bin_branches(data) == _full_read(data)
+        for cut in range(len(data)):
+            outcome = _outcome(_read_it1_bin_branches, data[:cut])
+            assert outcome == _outcome(_full_read, data[:cut])
+            assert outcome[0] in (FormatError, CorruptTrace)
+
+    @pytest.mark.parametrize("branch", [
+        InstructionRecord(seq=1, ip=0x10, is_branch=True, kind=BranchKind.COND,
+                          target=0x20, taken=True, regs_written=((1, 2),),
+                          mem_written=frozenset((0x30,))),
+        InstructionRecord(seq=1, ip=0x10, is_branch=True, kind=BranchKind.RET,
+                          target=0x20, taken=False, regs_read=frozenset((1,))),
+    ], ids=["cond-reads-nothing", "non-cond-not-taken"])
+    def test_invalid_branch_fails_like_full_decode(self, branch):
+        data = write_instr_trace([InstructionRecord(seq=0, ip=0x8), branch], "it1-bin")
+        outcome = _outcome(_read_it1_bin_branches, data)
+        assert outcome[0] is CorruptTrace
+        assert outcome == _outcome(_full_read, data)
+
+    @pytest.mark.parametrize("pos, value", [(28, 2), (29, 9), (38, 2)],
+                             ids=["is-branch-byte", "kind-code", "taken-byte"])
+    def test_bad_branch_byte_fails_like_full_decode(self, pos, value):
+        data = bytearray(write_instr_trace([InstructionRecord(
+            seq=0, ip=0x8, is_branch=True, kind=BranchKind.CALL, target=0x20, taken=True,
+        )], "it1-bin"))
+        # magic 4 + count 8, then seq 8 + ip 8: is_branch at 28, kind at 29, taken at 38
+        data[pos] = value
+        outcome = _outcome(_read_it1_bin_branches, bytes(data))
+        assert outcome[0] is CorruptTrace
+        assert outcome == _outcome(_full_read, bytes(data))
+
+    @pytest.mark.parametrize("seq", [0, 3])
+    def test_seq_not_increasing_fails_like_full_decode(self, seq):
+        data = bytearray(write_instr_trace([
+            InstructionRecord(seq=3, ip=0x8),
+            InstructionRecord(seq=7, ip=0x10, is_branch=True, kind=BranchKind.UNCOND,
+                              target=0x20, taken=True),
+        ], "it1-bin"))
+        # record 0 is 17 bytes of seq, ip and is_branch plus 4 count bytes
+        struct.pack_into("<Q", data, 12 + 21, seq)
+        outcome = _outcome(_read_it1_bin_branches, bytes(data))
+        assert outcome[0] is CorruptTrace
+        assert outcome == _outcome(_full_read, bytes(data))
+
+
 class TestStreamValidation:
     def test_unordered_records_rejected_at_write(self):
         records = [
@@ -124,6 +227,8 @@ class TestStreamValidation:
             read_branch_trace(b"XXXX" + b"\0" * 16, "bt1-bin")
         with pytest.raises(FormatError):
             read_instr_trace(b"XXXX" + b"\0" * 16, "it1-bin")
+        with pytest.raises(FormatError):
+            _read_it1_bin_branches(b"XXXX" + b"\0" * 16)
 
     def test_truncated_bin_is_corrupt(self):
         data = write_branch_trace(
@@ -185,7 +290,8 @@ class TestPaths:
         records = [BranchRecord(seq=3, ip=0x30, kind=BranchKind.COND, target=0x40, taken=False)]
         p = tmp_path / "t.bt1b"
         save_trace(p, records)
-        assert load_branch_trace(p) == records
+        # a BT1 trace's instruction count is its last seq + 1
+        assert load_branch_trace(p) == (records, 4)
 
     def test_load_branches_from_instruction_trace(self, tmp_path):
         records = [
@@ -195,9 +301,10 @@ class TestPaths:
                 target=0x40, taken=True, regs_read=frozenset((1,)),
             ),
         ]
-        p = tmp_path / "t.it1b"
-        save_trace(p, records)
-        assert load_branch_trace(p) == [records[1].to_branch()]
+        for name in ("t.it1b", "t.it1"):
+            p = tmp_path / name
+            save_trace(p, records)
+            assert load_branch_trace(p) == ([records[1].to_branch()], 2)
 
     def test_load_instrs_from_branch_trace_rejected(self, tmp_path):
         p = tmp_path / "t.bt1"
