@@ -66,13 +66,16 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _load_branches(path: str, fmt: str | None):
+def _load_branches(path: str, fmt: str | None, require_cond: bool = True):
     """(branch records, instruction count) of a trace; the format comes
-    from the extension unless given, and a trace without branches is a
-    data error in every format."""
+    from the extension unless given. A trace without branches is a data
+    error in every format, and so is one without COND branches unless
+    ``require_cond`` is off (a training corpus may hold such a trace)."""
     records, instructions = traceio.load_branch_trace(path, fmt or traceio.format_for_path(path))
     if not records:
         raise EmptyTargetError(f"trace {path} holds no branch records")
+    if require_cond and not any(r.kind is BranchKind.COND for r in records):
+        raise EmptyTargetError(f"trace {path} holds no COND branches")
     return records, instructions
 
 
@@ -135,8 +138,6 @@ def _cmd_gen(args) -> int:
 
 def _cmd_sim(args) -> int:
     records, total, predictor, stream = _simulate_for(args)
-    if not stream:
-        raise EmptyTargetError(f"trace {args.trace} holds no COND branches")
     out = _out_dir(args)
     reports.atomic_write_text(out / "mispredictions.csv", stream.to_csv())
     mis = stream.mispredictions()
@@ -364,7 +365,7 @@ def _corpus_from_args(args) -> helper.TrainingCorpus:
     corpus = helper.TrainingCorpus()
     for item in args.trace:
         path, _, input_id = item.partition("=")
-        records, _ = _load_branches(path, args.format)
+        records, _ = _load_branches(path, args.format, require_cond=False)
         corpus.add(Path(path).name, input_id or Path(path).stem, records)
     return corpus
 
@@ -419,6 +420,9 @@ def _cmd_eval_helper(args) -> int:
                 if row.composite_accuracy is None
                 else round(row.composite_accuracy, 6),
                 "delta": None if row.delta is None else round(row.delta, 6),
+                "queries": row.queries,
+                "overrides": row.overrides,
+                "override_correct": row.override_correct,
             }
             for row in report.rows
         },

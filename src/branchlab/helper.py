@@ -11,6 +11,12 @@ Two kinds:
   pattern-table  exact h-bit global-history pattern -> direction counts
   perceptron     integer weights over h history positions plus bias
 
+Perceptron training is the deterministic online rule: the samples in
+corpus order, up to ``epochs`` passes, a +-1 step of every weight whenever
+the prediction is wrong or |y| <= theta, each weight saturating at the i16
+bound, and a stop after the first pass without a step. A fixed corpus gives
+the same weights, and so the same HM1 bytes, in every version.
+
 History convention matches the online predictors: bit 0 of the history
 integer is the most recent COND outcome.
 """
@@ -142,6 +148,8 @@ def train_helper(
         raise ArgumentError(f"unknown helper kind {kind!r}")
     if not 1 <= h <= MAX_HISTORY:
         raise ArgumentError(f"history length must be in [1, {MAX_HISTORY}]")
+    if epochs < 1:
+        raise ArgumentError(f"epochs must be at least 1, got {epochs}")
     samples = corpus.samples(target_ip, h)
     if len(samples) < MIN_TRAINING_SAMPLES:
         raise TrainingError(
@@ -155,25 +163,93 @@ def train_helper(
         params: dict = table
     else:
         theta = int(1.93 * h + 14)
-        weights = [0] * (h + 1)
-        for _ in range(epochs):
-            changed = False
-            for hist, taken in samples:
-                y = weights[0]
-                for i in range(1, h + 1):
-                    y += weights[i] if (hist >> (i - 1)) & 1 else -weights[i]
-                if (y >= 0) != taken or abs(y) <= theta:
-                    step = 1 if taken else -1
-                    weights[0] = min(_WEIGHT_MAX, max(_WEIGHT_MIN, weights[0] + step))
-                    for i in range(1, h + 1):
-                        delta = step if (hist >> (i - 1)) & 1 else -step
-                        w = weights[i] + delta
-                        weights[i] = min(_WEIGHT_MAX, max(_WEIGHT_MIN, w))
-                    changed = True
-            if not changed:
-                break
-        params = {"theta": theta, "weights": tuple(weights)}
+        weights = _fit_perceptron(samples, h, theta, epochs)
+        params = {"theta": theta, "weights": weights}
     return HelperModel(target_ip, kind, h, tau, params, corpus.provenance())
+
+
+# Packed perceptron weights: weight i (the bias is weight 0) lives in bits
+# [24 i, 24 i + 24) of one int, stored plus _FIELD_BIAS so that every field
+# of an i16 weight is non-negative, and a sum of MAX_HISTORY + 1 fields
+# (each below 2**17) still fits in one field.
+_FIELD_BITS = 24
+_FIELD_MASK = (1 << _FIELD_BITS) - 1
+_FIELD_BIAS = 1 << 16
+
+
+def _fit_perceptron(
+    samples: Sequence[tuple[int, bool]], h: int, theta: int, epochs: int
+) -> tuple[int, ...]:
+    """Weights (bias, w1..wh) of the online perceptron rule in the module
+    docstring, equal to those of a loop that updates and clamps one weight
+    at a time.
+
+    With ``mask`` the fields of the bias and of the set history bits, one
+    multiply by ``ones`` sums those fields into field h, and y = 2 * (that
+    sum, biases removed) - (sum of all weights). A step adds one packed +-1
+    delta and changes the running sum. ``room`` counts the steps that cannot
+    reach a bound; when it runs out it is recomputed from the unpacked
+    weights, and only a weight at a bound makes a step take the per-weight
+    clamped path."""
+    lo, hi = _WEIGHT_MIN, _WEIGHT_MAX
+    top = _FIELD_BITS * h
+    field = _FIELD_MASK
+    shifts = [_FIELD_BITS * i for i in range(h + 1)]
+    ones = sum(1 << s for s in shifts)
+
+    # per (history, outcome): mask, signed delta, change of the weight sum,
+    # sign of the outcome, and the bound on sign * (2 * masked sum - weight
+    # sum) under which the sample steps
+    prepared: dict[tuple[int, bool], tuple] = {}
+    order = []
+    for hist, taken in samples:
+        entry = prepared.get((hist, taken))
+        if entry is None:
+            set_ones = 1 | sum(1 << shifts[i] for i in range(1, h + 1) if hist >> (i - 1) & 1)
+            fields = hist.bit_count() + 1
+            sign = 1 if taken else -1
+            entry = prepared[hist, taken] = (
+                set_ones * field,
+                sign * (2 * set_ones - ones),
+                sign * (2 * fields - h - 1),
+                sign,
+                theta + sign * 2 * fields * _FIELD_BIAS,
+                hist,
+            )
+        order.append(entry)
+
+    def unpack(packed: int) -> list[int]:
+        return [(packed >> s & field) - _FIELD_BIAS for s in shifts]
+
+    def headroom(weights: list[int]) -> int:
+        return min(min(weights) - lo, hi - max(weights))
+
+    packed = _FIELD_BIAS * ones
+    total = 0
+    room = headroom([0] * (h + 1))
+    for _ in range(epochs):
+        changed = False
+        for mask, delta, dsum, sign, bound, hist in order:
+            if sign * (2 * ((packed & mask) * ones >> top & field) - total) > bound:
+                continue
+            changed = True
+            if not room:
+                weights = unpack(packed)
+                room = headroom(weights)
+            if room:
+                packed += delta
+                total += dsum
+                room -= 1
+                continue
+            weights = [min(hi, max(lo, weights[0] + sign))] + [
+                min(hi, max(lo, w + (sign if hist >> (i - 1) & 1 else -sign)))
+                for i, w in enumerate(weights[1:], 1)
+            ]
+            packed = sum((w + _FIELD_BIAS) << s for s, w in zip(shifts, weights))
+            total = sum(weights)
+        if not changed:
+            break
+    return tuple(unpack(packed))
 
 
 # --- HM1 serialization ------------------------------------------------
@@ -374,6 +450,9 @@ class GeneralizationRow:
     baseline_accuracy: float | None
     composite_accuracy: float | None
     delta: float | None
+    queries: int
+    overrides: int
+    override_correct: int
 
 
 @dataclass(frozen=True)
@@ -397,8 +476,9 @@ def evaluate_generalization(
     tau: float | None = None,
 ) -> GeneralizationReport:
     """Simulate the baseline once on a held-out trace, apply the helpers to
-    its stream, and report per-target and overall accuracy deltas. A model
-    ip that never executes is reported with zero executions, not an error."""
+    its stream, and report per-target and overall accuracy deltas with each
+    helper's telemetry. A model ip that never executes is reported with zero
+    executions, not an error."""
     from .charax import per_ip_totals
     from .predictors import make_predictor, simulate
 
@@ -409,17 +489,21 @@ def evaluate_generalization(
     base_stream = simulate(records, predictor)
     if not base_stream:
         raise EmptyTargetError("trace holds no COND branches")
-    comp_stream, _ = apply_helpers(base_stream, models, tau)
+    comp_stream, telemetry = apply_helpers(base_stream, models, tau)
     base_stats = per_ip_totals(base_stream)
     comp_stats = per_ip_totals(comp_stream)
     rows = []
     for model in models:
         b = base_stats.get(model.ip)
         c = comp_stats.get(model.ip)
+        t = telemetry[model.ip]
+        counts = (t.queries, t.overrides, t.override_correct)
         if b is None or b.executions == 0:
-            rows.append(GeneralizationRow(model.ip, 0, None, None, None))
+            rows.append(GeneralizationRow(model.ip, 0, None, None, None, *counts))
             continue
         acc_b = b.accuracy
         acc_c = c.accuracy
-        rows.append(GeneralizationRow(model.ip, b.executions, acc_b, acc_c, acc_c - acc_b))
+        rows.append(
+            GeneralizationRow(model.ip, b.executions, acc_b, acc_c, acc_c - acc_b, *counts)
+        )
     return GeneralizationReport(tuple(rows), base_stream.accuracy(), comp_stream.accuracy())

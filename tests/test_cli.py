@@ -368,6 +368,21 @@ class TestHelperCommands:
                        "--ip", hex(HELPER_IP), "--out", str(tmp_path / "m.hm1"))
         assert code == 1
 
+    @pytest.mark.parametrize("epochs", ["0", "-3"])
+    def test_train_non_positive_epochs_is_usage_error(self, helper_ws, tmp_path, epochs):
+        model = tmp_path / "m.hm1"
+        proc = subprocess.run(
+            [sys.executable, "-m", "branchlab.cli", "train-helper",
+             "--trace", str(helper_ws["a"]), "--ip", hex(HELPER_IP), "--kind", "perceptron",
+             "--epochs", epochs, "--out", str(model)],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [
+            f"branchlab: usage error: epochs must be at least 1, got {epochs}"
+        ]
+        assert not model.exists()
+
     def test_eval_helper(self, helper_ws, tmp_path, capsys):
         code, out, _ = run(capsys, "--json", "eval-helper",
                            "--models", str(helper_ws["models"]),
@@ -378,8 +393,11 @@ class TestHelperCommands:
         target = doc["targets"][f"{HELPER_IP:#x}"]
         assert target["executions"] == 700
         assert target["composite_accuracy"] == 1.0
+        # the h = 1 table is sure of both patterns: every query overrides, rightly
+        assert (target["queries"], target["overrides"], target["override_correct"]) == (
+            700, 700, 700)
         assert doc["overall_composite"] >= doc["overall_baseline"]
-        assert (tmp_path / "eval_helper.json").exists()
+        assert json.loads((tmp_path / "eval_helper.json").read_text()) == doc
 
     def test_eval_corrupt_models_is_data_error(self, helper_ws, tmp_path, capsys):
         blob = bytearray(helper_ws["models"].read_bytes())
@@ -391,7 +409,8 @@ class TestHelperCommands:
         assert code == 1
 
 
-@pytest.mark.parametrize("command", ["sim", "sweep", "eval-helper"])
+@pytest.mark.parametrize("command", ["sim", "sweep", "eval-helper", "hh", "h2p", "rare",
+                                     "recur", "limit"])
 def test_trace_without_cond_branches_is_one_line_data_error(command, helper_ws, tmp_path):
     trace = tmp_path / "uncond.bt1b"
     traceio.save_trace(trace, [BranchRecord(i, 0x1000 + 4 * i, BranchKind.UNCOND, 0x2000)
@@ -406,8 +425,8 @@ def test_trace_without_cond_branches_is_one_line_data_error(command, helper_ws, 
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.splitlines()
     assert len(lines) == 1
-    assert lines[0].startswith("branchlab: error: ")
-    assert lines[0].endswith("holds no COND branches")
+    assert lines[0] == f"branchlab: error: trace {trace} holds no COND branches"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["sim", "sweep", "hh", "h2p", "rare", "recur", "limit",

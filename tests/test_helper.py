@@ -7,8 +7,9 @@ import zlib
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
+from branchlab import helper
 from branchlab.errors import (
     ArgumentError,
     ConfigError,
@@ -141,6 +142,92 @@ class TestTraining:
             train_helper(corpus, T_IP, h=0)
         with pytest.raises(ArgumentError):
             train_helper(corpus, T_IP, h=65)
+        for epochs in (0, -3):
+            for kind in (PERCEPTRON, PATTERN_TABLE):
+                with pytest.raises(ArgumentError, match="epochs"):
+                    train_helper(corpus, T_IP, kind=kind, epochs=epochs)
+
+
+def perceptron_oracle(samples, h, theta, epochs, lo, hi):
+    """The per-bit online perceptron loop: recompute y from every weight for
+    each sample and clamp every weight on each step."""
+    weights = [0] * (h + 1)
+    for _ in range(epochs):
+        changed = False
+        for hist, taken in samples:
+            y = weights[0]
+            for i in range(1, h + 1):
+                y += weights[i] if (hist >> (i - 1)) & 1 else -weights[i]
+            if (y >= 0) != taken or abs(y) <= theta:
+                step = 1 if taken else -1
+                weights[0] = min(hi, max(lo, weights[0] + step))
+                for i in range(1, h + 1):
+                    delta = step if (hist >> (i - 1)) & 1 else -step
+                    weights[i] = min(hi, max(lo, weights[i] + delta))
+                changed = True
+        if not changed:
+            break
+    return tuple(weights)
+
+
+def rule_trace(seed, targets, rule, position):
+    """A noise branch and the target in random order. The target is taken when
+    history bit ``position - 1`` is set ("bit": separable, so training stops
+    after a few passes), when that bit and bit 0 differ ("xor") or at random
+    ("random"); the last two seldom reach a pass without a step."""
+    rng = random.Random(seed)
+    rows, hist = [], 0
+    while targets:
+        if rng.random() < 0.5:
+            taken = rng.random() < 0.5
+            rows.append((A_IP, taken))
+        else:
+            bit = hist >> (position - 1) & 1
+            taken = {"bit": bit, "xor": bit ^ hist & 1, "random": rng.random() < 0.5}[rule]
+            rows.append((T_IP, bool(taken)))
+            targets -= 1
+        hist = hist << 1 | taken
+    return conds(rows)
+
+
+def fit_both(records, h, epochs, bound):
+    """(train_helper's weights, the oracle's) on one trace, with the weight
+    bounds shrunk to +-bound unless bound is None."""
+    corpus = TrainingCorpus()
+    corpus.add("t0", "in-a", records)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(helper, "MIN_TRAINING_SAMPLES", 1)
+        if bound is not None:
+            m.setattr(helper, "_WEIGHT_MIN", -bound)
+            m.setattr(helper, "_WEIGHT_MAX", bound)
+        model = train_helper(corpus, T_IP, kind=PERCEPTRON, h=h, epochs=epochs)
+        lo, hi = helper._WEIGHT_MIN, helper._WEIGHT_MAX
+    theta = int(1.93 * h + 14)
+    assert model.params["theta"] == theta
+    want = perceptron_oracle(corpus.samples(T_IP, h), h, theta, epochs, lo, hi)
+    return model.params["weights"], want
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 64), st.integers(1, 30), st.integers(0, 2**32 - 1),
+       st.integers(1, 200), st.sampled_from(("bit", "xor", "random")), st.data(),
+       st.one_of(st.none(), st.integers(1, 6)))
+@example(h=1, epochs=30, seed=7, targets=200, rule="random", data=None, bound=5)
+@example(h=64, epochs=30, seed=8, targets=200, rule="xor", data=None, bound=3)
+def test_perceptron_training_matches_per_bit_oracle(h, epochs, seed, targets, rule, data, bound):
+    position = 1 if data is None else data.draw(st.integers(1, h))
+    records = rule_trace(seed, targets, rule, position)
+    got, want = fit_both(records, h, epochs, bound)
+    assert got == want
+
+
+def test_perceptron_saturation_matches_oracle():
+    # the target is always taken after a not-taken noise branch: the bias and
+    # position 1 would grow without end, so both sit at the bound for most steps
+    records = conds([(A_IP, False), (T_IP, True)] * 300)
+    got, want = fit_both(records, 2, 20, 5)
+    assert got == want
+    assert got[0] == 5 and got[1] == -5
 
 
 class TestHelperModelPredict:
@@ -410,6 +497,19 @@ def test_apply_helpers_matches_brute_force_history(records, models, tau, baselin
     assert {
         ip: (t.queries, t.overrides, t.override_correct) for ip, t in telemetry.items()
     } == want_telemetry
+
+
+@settings(max_examples=60, deadline=None)
+@given(overlay_traces(), overlay_models(),
+       st.one_of(st.none(), st.integers(0, 8).map(lambda k: k / 8)),
+       st.sampled_from(("bimodal:4k", "gshare:16k")))
+def test_generalization_telemetry_matches_brute_force(records, models, tau, baseline):
+    assume(any(r.kind is BranchKind.COND for r in records))
+    report = evaluate_generalization(models, records, baseline=baseline, tau=tau)
+    _, want = overlay_oracle(records, simulate(records, make_predictor(baseline)), models, tau)
+    assert {
+        row.ip: (row.queries, row.overrides, row.override_correct) for row in report.rows
+    } == want
 
 
 class TestGeneralization:
