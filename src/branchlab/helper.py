@@ -150,6 +150,8 @@ def train_helper(
         raise ArgumentError(f"history length must be in [1, {MAX_HISTORY}]")
     if epochs < 1:
         raise ArgumentError(f"epochs must be at least 1, got {epochs}")
+    if not 0.0 <= tau <= 1.0:
+        raise ArgumentError(f"confidence threshold must lie in [0, 1], got {tau}")
     samples = corpus.samples(target_ip, h)
     if len(samples) < MIN_TRAINING_SAMPLES:
         raise TrainingError(

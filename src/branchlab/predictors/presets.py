@@ -13,8 +13,10 @@ Config files are line-oriented ``key = value`` pairs, ``#`` comments::
 
 Keys per predictor: bimodal ``entries``; gshare ``entries``,
 ``history_length``; perceptron ``history_length``, ``rows``,
-``weight_bits``; tage ``num_tagged_tables``, ``entries_per_table``,
-``min_hist``, ``max_hist``, ``base_entries``; tage-sc-l ``budget``.
+``weight_bits``; tage ``budget``, or ``num_tagged_tables``,
+``entries_per_table``, ``min_hist``, ``max_hist``, ``base_entries``;
+tage-sc-l ``budget``. Any other key, and any value that is not an integer
+where one is read, is a ConfigError.
 """
 
 from __future__ import annotations
@@ -38,14 +40,27 @@ PRESET_NAMES = (
 )
 
 
-def _count(text: str, what: str) -> int:
-    text = text.strip().lower()
+_CONFIG_KEYS = {
+    "always-taken": (),
+    "bimodal": ("entries",),
+    "gshare": ("entries", "history_length"),
+    "perceptron": ("history_length", "rows", "weight_bits"),
+    "tage": ("budget", "num_tagged_tables", "entries_per_table", "min_hist", "max_hist",
+             "base_entries"),
+    "tage-sc-l": ("budget",),
+}
+
+
+def _int(spec: dict, key: str, default, count: bool = False) -> int:
+    """The integer at ``key`` (``default`` if absent); a ``count`` may
+    carry a ``k`` suffix (x1024)."""
+    text = str(spec.get(key, default)).strip().lower()
     try:
-        if text.endswith("k"):
+        if count and text.endswith("k"):
             return int(text[:-1]) * 1024
         return int(text)
     except ValueError:
-        raise ConfigError(f"unparseable {what} {text!r}") from None
+        raise ConfigError(f"unparseable {key} {text!r}") from None
 
 
 def make_predictor(spec: str | dict, seed: int = 0) -> ConditionalPredictor:
@@ -64,43 +79,49 @@ def make_predictor(spec: str | dict, seed: int = 0) -> ConditionalPredictor:
                 raise ConfigError(f"preset {name!r} takes no argument")
         spec = mapping
     kind = str(spec.get("predictor", "")).strip().lower()
+    if kind not in _CONFIG_KEYS:
+        raise ConfigError(f"unknown predictor {kind!r}")
+    unknown = sorted(set(spec) - {"predictor", *_CONFIG_KEYS[kind]})
+    if unknown:
+        raise ConfigError(f"unknown config key {', '.join(map(repr, unknown))} for {kind}")
     if kind == "always-taken":
         return AlwaysTaken()
     if kind == "bimodal":
-        return Bimodal(entries=_count(str(spec.get("entries", 4096)), "entries"))
+        return Bimodal(entries=_int(spec, "entries", 4096, count=True))
     if kind == "gshare":
-        predictor = Gshare(
-            entries=_count(str(spec.get("entries", 16384)), "entries"),
-            history_length=int(spec["history_length"]) if "history_length" in spec else None,
+        return Gshare(
+            entries=_int(spec, "entries", 16384, count=True),
+            history_length=_int(spec, "history_length", 0) if "history_length" in spec else None,
         )
-        return predictor
     if kind == "perceptron":
         return Perceptron(
-            history_length=int(spec.get("history_length", 28)),
-            rows=_count(str(spec.get("rows", 256)), "rows"),
-            weight_bits=int(spec.get("weight_bits", 8)),
+            history_length=_int(spec, "history_length", 28),
+            rows=_int(spec, "rows", 256, count=True),
+            weight_bits=_int(spec, "weight_bits", 8),
         )
     if kind == "tage":
         if "budget" in spec:
             cfg = ensemble_config(resolve_budget(str(spec["budget"]))).tage
         else:
             cfg = TageConfig(
-                num_tagged_tables=int(spec.get("num_tagged_tables", 12)),
-                entries_per_table=_count(str(spec.get("entries_per_table", 256)), "entries"),
-                min_hist=int(spec.get("min_hist", 4)),
-                max_hist=int(spec.get("max_hist", 1000)),
-                base_entries=_count(str(spec.get("base_entries", 4096)), "entries"),
+                num_tagged_tables=_int(spec, "num_tagged_tables", 12),
+                entries_per_table=_int(spec, "entries_per_table", 256, count=True),
+                min_hist=_int(spec, "min_hist", 4),
+                max_hist=_int(spec, "max_hist", 1000),
+                base_entries=_int(spec, "base_entries", 4096, count=True),
             )
         return Tage(cfg, seed=seed)
-    if kind == "tage-sc-l":
-        return TageSCL(ensemble_config(str(spec.get("budget", "8kb"))), seed=seed)
-    raise ConfigError(f"unknown predictor {kind!r}")
+    return TageSCL(ensemble_config(str(spec.get("budget", "8kb"))), seed=seed)
 
 
 def load_predictor_config(path: str | Path) -> dict[str, str]:
     """Parse a key-value predictor config file."""
     mapping: dict[str, str] = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text (byte {exc.start})") from None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -292,7 +292,10 @@ _BEHAVIOR_KINDS = {
 
 
 def _parse_ip(value) -> int:
-    return int(value, 16) if isinstance(value, str) else int(value)
+    try:
+        return int(value, 16) if isinstance(value, str) else int(value)
+    except (TypeError, ValueError):
+        raise ArgumentError(f"bad ip {value!r} (use hex like '0x400100')") from None
 
 
 def _behavior_to_json(b: Behavior) -> dict:
@@ -310,8 +313,8 @@ def _behavior_to_json(b: Behavior) -> dict:
 
 
 def behavior_from_json(obj: dict) -> Behavior:
-    kind = obj.get("kind")
-    cls = _BEHAVIOR_KINDS.get(kind)
+    kind = obj.get("kind") if isinstance(obj, dict) else None
+    cls = _BEHAVIOR_KINDS.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise ArgumentError(f"unknown behavior kind {kind!r}")
     kwargs = {}
@@ -322,7 +325,15 @@ def behavior_from_json(obj: dict) -> Behavior:
         if f.name in ("ip", "gate_ip", "base_ip"):
             value = _parse_ip(value)
         elif f.name == "positions":
-            value = tuple(int(p) for p in value)
+            try:
+                value = tuple(int(p) for p in value)
+            except (TypeError, ValueError):
+                raise ArgumentError(f"bad {kind} behavior: positions must be integers") from None
+        # f.type is the annotation's text: this module postpones annotations
+        elif f.type in ("int", "float") and not isinstance(value, (int, float)):
+            raise ArgumentError(f"bad {kind} behavior: {f.name} must be a number, got {value!r}")
+        elif f.type == "str" and not isinstance(value, str):
+            raise ArgumentError(f"bad {kind} behavior: {f.name} must be a string, got {value!r}")
         kwargs[f.name] = value
     try:
         behavior = cls(**kwargs)
@@ -332,15 +343,15 @@ def behavior_from_json(obj: dict) -> Behavior:
 
 
 def program_spec_from_json(obj: dict) -> SyntheticProgramSpec:
-    if not isinstance(obj, dict) or "behaviors" not in obj:
+    if not isinstance(obj, dict) or not isinstance(obj.get("behaviors"), list):
         raise ArgumentError("program spec JSON needs a 'behaviors' list")
     behaviors = tuple(behavior_from_json(b) for b in obj["behaviors"])
-    weights = tuple(float(w) for w in obj["weights"]) if obj.get("weights") else None
-    spec = SyntheticProgramSpec(
-        behaviors=behaviors,
-        weights=weights,
-        filler_density=float(obj.get("filler_density", 0.5)),
-    )
+    try:
+        weights = tuple(float(w) for w in obj["weights"]) if obj.get("weights") else None
+        filler_density = float(obj.get("filler_density", 0.5))
+    except (TypeError, ValueError):
+        raise ArgumentError("spec weights and filler_density must be numbers") from None
+    spec = SyntheticProgramSpec(behaviors=behaviors, weights=weights, filler_density=filler_density)
     spec.validate()
     return spec
 

@@ -1,5 +1,6 @@
 """End-to-end CLI tests: every subcommand, exit codes, --json, reruns."""
 
+import argparse
 import json
 import random
 import subprocess
@@ -8,7 +9,8 @@ import sys
 import pytest
 
 from branchlab import synth, traceio
-from branchlab.cli import main
+from branchlab.cli import build_parser, main
+from branchlab.predictors import estimate_storage
 from branchlab.records import BranchKind, BranchRecord
 
 DD_IP = 0x400100
@@ -368,21 +370,6 @@ class TestHelperCommands:
                        "--ip", hex(HELPER_IP), "--out", str(tmp_path / "m.hm1"))
         assert code == 1
 
-    @pytest.mark.parametrize("epochs", ["0", "-3"])
-    def test_train_non_positive_epochs_is_usage_error(self, helper_ws, tmp_path, epochs):
-        model = tmp_path / "m.hm1"
-        proc = subprocess.run(
-            [sys.executable, "-m", "branchlab.cli", "train-helper",
-             "--trace", str(helper_ws["a"]), "--ip", hex(HELPER_IP), "--kind", "perceptron",
-             "--epochs", epochs, "--out", str(model)],
-            capture_output=True, text=True,
-        )
-        assert proc.returncode == 2
-        assert proc.stderr.splitlines() == [
-            f"branchlab: usage error: epochs must be at least 1, got {epochs}"
-        ]
-        assert not model.exists()
-
     def test_eval_helper(self, helper_ws, tmp_path, capsys):
         code, out, _ = run(capsys, "--json", "eval-helper",
                            "--models", str(helper_ws["models"]),
@@ -454,6 +441,64 @@ def test_empty_branch_trace_is_one_line_data_error(command, helper_ws, tmp_path)
         assert not (tmp_path / "out").exists() and not (tmp_path / "m.hm1").exists()
 
 
+_TRAIN = ["train-helper", "--trace", "{a}", "--ip", hex(HELPER_IP), "--kind", "perceptron",
+          "--out", "{tmp}/out/m.hm1"]
+_GEN = ["gen", "--spec", "{tmp}/spec.json", "--len", "1000", "--out", "{tmp}/out/t.bt1b"]
+_SIM = ["sim", "--trace", "{it1b}", "--config", "{tmp}/p.cfg", "--out", "{tmp}/out"]
+
+
+def _biased_spec(ip, p_taken):
+    return json.dumps({"behaviors": [{"kind": "biased", "ip": ip, "p_taken": p_taken}]}).encode()
+
+
+# id: (files written into tmp_path, argv, the message after "branchlab: usage error: ")
+USAGE_ERRORS = {
+    "epochs-0": ({}, [*_TRAIN, "--epochs", "0"], "epochs must be at least 1, got 0"),
+    "epochs--3": ({}, [*_TRAIN, "--epochs", "-3"], "epochs must be at least 1, got -3"),
+    "tau-above-1": ({}, [*_TRAIN, "--tau", "1.5"],
+                    "confidence threshold must lie in [0, 1], got 1.5"),
+    "tau-below-0": ({}, [*_TRAIN, "--tau=-0.25"],
+                    "confidence threshold must lie in [0, 1], got -0.25"),
+    "spec-not-json": ({"spec.json": b"{not json"}, _GEN,
+                      "spec {tmp}/spec.json is not JSON: Expecting property name enclosed in "
+                      "double quotes: line 1 column 2 (char 1)"),
+    "spec-bad-ip": ({"spec.json": _biased_spec("zz", 0.5)}, _GEN,
+                    "bad ip 'zz' (use hex like '0x400100')"),
+    "spec-bad-p-taken": ({"spec.json": _biased_spec("0x400100", "a")}, _GEN,
+                         "bad biased behavior: p_taken must be a number, got 'a'"),
+    "config-bad-history-length": ({"p.cfg": b"predictor = gshare\nhistory_length = x\n"},
+                                  _SIM, "unparseable history_length 'x'"),
+    "config-bad-min-hist": ({"p.cfg": b"predictor = tage\nmin_hist = x\n"}, _SIM,
+                            "unparseable min_hist 'x'"),
+    "config-not-utf8": ({"p.cfg": b"predictor = tage-sc-l\n# \xff\n"}, _SIM,
+                        "{tmp}/p.cfg: not UTF-8 text (byte 24)"),
+    "config-unknown-key": ({"p.cfg": b"predictor = tage-sc-l\nbudget = 64kb\nbogus = 3\n"},
+                           _SIM, "unknown config key 'bogus' for tage-sc-l"),
+    "config-with-predictor": ({"p.cfg": b"predictor = tage-sc-l\n"},
+                              [*_SIM, "--predictor", "bimodal:4k"],
+                              "--predictor and --config exclude each other"),
+    "regs-out-of-range": ({}, ["regvals", "--trace", "{it1b}", "--ip", hex(DD_IP),
+                               "--regs", "0,300", "--out", "{tmp}/out"],
+                          "register ids must lie in [0, 255], got 300 in '0,300'"),
+}
+
+
+@pytest.mark.parametrize("case", list(USAGE_ERRORS))
+def test_bad_value_is_one_line_usage_error(case, ws, helper_ws, tmp_path):
+    files, argv, message = USAGE_ERRORS[case]
+    for name, data in files.items():
+        (tmp_path / name).write_bytes(data)
+    paths = {"tmp": tmp_path, "a": helper_ws["a"], "it1b": ws["it1b"]}
+    proc = subprocess.run(
+        [sys.executable, "-m", "branchlab.cli", *(arg.format(**paths) for arg in argv)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines() == [f"branchlab: usage error: {message.format(**paths)}"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_reports_agree_across_it1_formats(ws, tmp_path, capsys):
     """The it1-jsonl twin is read whole and projected, the it1-bin trace is
     walked for its branches only: every report must be the same bytes, apart
@@ -485,6 +530,69 @@ def test_reports_agree_across_it1_formats(ws, tmp_path, capsys):
         assert len(reports[".it1b"]) == 2, argv[0]
 
 
+# command: (extra argv, summary file, report files beside it)
+SUMMARY_FILES = {
+    "sim": (["--predictor", "bimodal:4k"], "sim_summary.json", {"mispredictions.csv"}),
+    "h2p": (["--predictor", "bimodal:4k", "--slice-len", "4000", "--min-execs", "50",
+             "--min-mis", "10"], "h2p_summary.json", {"h2p.csv"}),
+    "hh": (["--predictor", "bimodal:4k"], "hh_summary.json", {"heavy_hitters.csv"}),
+    "rare": (["--predictor", "bimodal:4k"], "rare_summary.json", {"rare_bins.csv"}),
+    "recur": ([], "recur_summary.json", {"recurrence.csv"}),
+    "deps": (["--ip", hex(DD_IP), "--window", "2000"], "deps_summary.json",
+             {"deps.csv", "deps_summary.csv"}),
+    "regvals": (["--ip", hex(DD_IP)], "regvals_summary.json", {"regvals.csv"}),
+    "limit": (["--predictor", "bimodal:4k", "--scales", "1,4"], "limit_summary.json",
+              {"opportunity.csv"}),
+    "sweep": (["--budgets", "8192", "--scales", "1,8"], "sweep_summary.json",
+              {"storage_sweep.csv"}),
+    "eval-helper": (["--baseline", "bimodal:4k"], "eval_helper.json", set()),
+}
+
+
+class TestSummaryPath:
+    @pytest.mark.parametrize("command", list(SUMMARY_FILES))
+    def test_json_line_is_the_summary_file(self, command, ws, helper_ws, tmp_path, capsys):
+        extra, summary, others = SUMMARY_FILES[command]
+        if command == "eval-helper":
+            extra = [*extra, "--models", str(helper_ws["models"])]
+        trace = helper_ws["held"] if command == "eval-helper" else ws["it1b"]
+        code, out, err = run(capsys, "--json", command, "--trace", str(trace), *extra,
+                             "--out", str(tmp_path / "out"))
+        assert code == 0 and err == ""
+        assert out.count("\n") == 1
+        doc = json.loads(out)
+        assert doc["command"] == command
+        assert json.loads((tmp_path / "out" / summary).read_text()) == doc
+        assert set(read_all(tmp_path / "out")) == {summary, *others}
+
+    def test_gen_and_train_helper_write_no_summary(self, ws, helper_ws, tmp_path, capsys):
+        code, out, _ = run(capsys, "--json", "gen", "--spec", str(ws["spec"]), "--len", "2000",
+                           "--out", str(tmp_path / "gen" / "t.bt1b"))
+        assert code == 0 and json.loads(out)["command"] == "gen"
+        assert set(read_all(tmp_path / "gen")) == {"t.bt1b", "t.bt1b.manifest.json"}
+        code, out, _ = run(capsys, "--json", "train-helper", "--trace", str(helper_ws["a"]),
+                           "--ip", hex(HELPER_IP), "--out", str(tmp_path / "train" / "m.hm1"))
+        assert code == 0 and json.loads(out)["command"] == "train-helper"
+        assert set(read_all(tmp_path / "train")) == {"m.hm1"}
+
+    @pytest.mark.parametrize("command", ["sim", "hh", "h2p", "rare", "limit"])
+    def test_config_summary_names_the_simulated_predictor(self, command, ws, tmp_path, capsys):
+        config = tmp_path / "big.cfg"
+        config.write_text("predictor = tage-sc-l\nbudget = 64kb  # the larger grid point\n")
+        code, out, _ = run(capsys, "--json", command, "--trace", str(ws["bt1"]),
+                           "--config", str(config), "--out", str(tmp_path / "out"))
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["predictor"] == "budget=64kb,predictor=tage-sc-l"
+        if command == "sim":
+            assert doc["storage_bytes"] == estimate_storage("tage-sc-l:64kb")
+            preset = tmp_path / "preset"
+            assert main(["sim", "--trace", str(ws["bt1"]), "--predictor", "tage-sc-l:64kb",
+                         "--out", str(preset)]) == 0
+            assert (preset / "mispredictions.csv").read_bytes() == \
+                (tmp_path / "out" / "mispredictions.csv").read_bytes()
+
+
 class TestParser:
     def test_unknown_command_is_usage_error(self, capsys):
         assert main(["frobnicate"]) == 2
@@ -503,3 +611,29 @@ class TestParser:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["command"] == "sim"
+
+    def test_flag_surface(self):
+        trace, predictor, seed, out = "--trace --format", "--predictor --config", "--seed", "--out"
+        machine = "--scales --width --penalty --scaled-penalty"
+        expected = {
+            "gen": f"--spec {seed} --len --out --format --manifest",
+            "sim": f"{trace} {predictor} {seed} {out}",
+            "h2p": f"{trace} {predictor} {seed} {out} --slice-len --max-acc --min-execs --min-mis",
+            "hh": f"{trace} {predictor} {seed} {out}",
+            "rare": f"{trace} {predictor} {seed} {out} --bin-width",
+            "recur": f"{trace} {out}",
+            "deps": f"{trace} --ip --window --direct-reads-only --no-memory {out}",
+            "regvals": f"{trace} --ip --regs --mask {out}",
+            "limit": f"{trace} {predictor} {seed} {out} {machine} --cutoffs --perfect-ips",
+            "sweep": f"{trace} {seed} --budgets {machine} {out}",
+            "train-helper": "--trace --format --ip --kind --history --tau --epochs --out",
+            "eval-helper": f"--models {trace} --baseline {seed} --tau {out}",
+        }
+        parser = build_parser()
+        (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        actual = {
+            name: sorted(opt for action in sub._actions for opt in action.option_strings
+                         if opt not in ("-h", "--help"))
+            for name, sub in commands.choices.items()
+        }
+        assert actual == {name: sorted(flags.split()) for name, flags in expected.items()}

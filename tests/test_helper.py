@@ -134,8 +134,13 @@ class TestTraining:
         with pytest.raises(TrainingError):
             train_helper(corpus, T_IP)
 
-    def test_argument_validation(self):
+    def test_argument_validation(self, monkeypatch):
         corpus = self.make_corpus(n=10)
+
+        def no_walk(*args):
+            raise AssertionError("arguments are checked before any sample walk")
+
+        monkeypatch.setattr(TrainingCorpus, "samples", no_walk)
         with pytest.raises(ArgumentError):
             train_helper(corpus, T_IP, kind="nearest-neighbor")
         with pytest.raises(ArgumentError):
@@ -146,6 +151,10 @@ class TestTraining:
             for kind in (PERCEPTRON, PATTERN_TABLE):
                 with pytest.raises(ArgumentError, match="epochs"):
                     train_helper(corpus, T_IP, kind=kind, epochs=epochs)
+        for tau in (-0.25, 1.5, float("nan")):
+            for kind in (PERCEPTRON, PATTERN_TABLE):
+                with pytest.raises(ArgumentError, match="confidence threshold"):
+                    train_helper(corpus, T_IP, kind=kind, tau=tau)
 
 
 def perceptron_oracle(samples, h, theta, epochs, lo, hi):

@@ -423,6 +423,21 @@ class TestPresetsAndConfig:
         f.write_text("budget = 8kb\n")
         with pytest.raises(ConfigError):
             load_predictor_config(f)
+        f.write_bytes(b"predictor = tage\n# \xff\n")
+        with pytest.raises(ConfigError, match="not UTF-8"):
+            load_predictor_config(f)
+
+    @pytest.mark.parametrize("mapping, match", [
+        ({"predictor": "tage-sc-l", "bogus": "3"}, "unknown config key 'bogus'"),
+        ({"predictor": "bimodal", "budget": "8kb"}, "unknown config key 'budget'"),
+        ({"predictor": "gshare", "history_length": "x"}, "unparseable history_length"),
+        ({"predictor": "perceptron", "weight_bits": "8.5"}, "unparseable weight_bits"),
+        ({"predictor": "tage", "min_hist": "x"}, "unparseable min_hist"),
+        ({"predictor": "tage", "entries_per_table": "1q"}, "unparseable entries_per_table"),
+    ])
+    def test_config_value_errors(self, mapping, match):
+        with pytest.raises(ConfigError, match=match):
+            make_predictor(mapping)
 
     def test_estimate_storage_inputs(self):
         cfg = ensemble_config(8192)

@@ -247,3 +247,26 @@ class TestSpecJson:
     def test_missing_behaviors_key_rejected(self):
         with pytest.raises(ArgumentError):
             program_spec_from_json({})
+
+    @pytest.mark.parametrize("doc", [
+        {"kind": "biased", "ip": "zz", "p_taken": 0.5},
+        {"kind": "biased", "ip": None, "p_taken": 0.5},
+        {"kind": "biased", "ip": 1, "p_taken": "a"},
+        {"kind": "loop", "ip": 1, "trip": [5]},
+        {"kind": "periodic", "ip": 1, "pattern": 5},
+        {"kind": "history", "ip": 1, "positions": ["x"]},
+        {"kind": ["biased"]},
+        "biased",
+    ])
+    def test_malformed_values_are_argument_errors(self, doc):
+        with pytest.raises(ArgumentError):
+            program_spec_from_json({"behaviors": [doc]})
+
+    @pytest.mark.parametrize("doc", [
+        {"behaviors": "biased"},
+        {"behaviors": [{"kind": "loop", "ip": 1, "trip": 3}], "weights": ["a"]},
+        {"behaviors": [{"kind": "loop", "ip": 1, "trip": 3}], "filler_density": None},
+    ])
+    def test_malformed_spec_fields_are_argument_errors(self, doc):
+        with pytest.raises(ArgumentError):
+            program_spec_from_json(doc)
