@@ -60,6 +60,12 @@ class SliceStats:
         }
 
 
+def require_at_least_one(value: int, name: str) -> None:
+    """An ArgumentError naming ``name`` unless ``value`` is at least 1."""
+    if value < 1:
+        raise ArgumentError(f"{name} must be >= 1, got {value}")
+
+
 def per_ip_totals(stream: MispredictionStream) -> dict[int, IpStats]:
     """Whole-trace executions/mispredictions per static ip."""
     execs: dict[int, int] = {}
@@ -79,8 +85,7 @@ def accumulate_slice_stats(
     """Fold the stream into ⌈total/slice_len⌉ slices; a record at seq s
     lands in slice s // slice_len. The final slice is flagged partial when
     the trace does not fill it."""
-    if slice_len < 1:
-        raise ArgumentError(f"slice_len must be >= 1, got {slice_len}")
+    require_at_least_one(slice_len, "slice_len")
     if stream.records:
         last_seq = stream.records[-1].seq
         if total_instructions <= last_seq:
@@ -196,8 +201,7 @@ def heavy_hitters(totals: Mapping[int, IpStats | int]) -> HeavyHitterReport:
 
 def cross_input_h2p(per_input_sets: Sequence[set[int]], k: int) -> set[int]:
     """ips flagged in at least k of the given inputs."""
-    if k < 1:
-        raise ArgumentError(f"k must be >= 1, got {k}")
+    require_at_least_one(k, "k")
     counts: dict[int, int] = {}
     for s in per_input_sets:
         for ip in s:
@@ -245,8 +249,7 @@ class RareBinReport:
 def rare_bins(totals: Mapping[int, IpStats], bin_width: int = 100) -> RareBinReport:
     """Bin static branches by execution count; report per-bin mean and
     population standard deviation of accuracy. Only occupied bins appear."""
-    if bin_width < 1:
-        raise ArgumentError(f"bin_width must be >= 1, got {bin_width}")
+    require_at_least_one(bin_width, "bin_width")
     grouped: dict[int, list[float]] = {}
     for st in totals.values():
         grouped.setdefault(st.executions // bin_width, []).append(st.accuracy)

@@ -154,10 +154,11 @@ def _cmd_sim(args) -> dict:
 
 
 def _cmd_h2p(args) -> dict:
-    total, _predictor, stream = _simulate_for(args)
-    slices = charax.accumulate_slice_stats(stream, total, args.slice_len)
+    charax.require_at_least_one(args.slice_len, "slice_len")
     criteria = charax.H2PCriteria(args.max_acc, args.min_execs, args.min_mis)
     criteria.validate()
+    total, _predictor, stream = _simulate_for(args)
+    slices = charax.accumulate_slice_stats(stream, total, args.slice_len)
     report = charax.h2p_report(slices, criteria)
     reports.write_h2p_csv(_out_dir(args) / "h2p.csv", slices, report)
     return {
@@ -186,6 +187,7 @@ def _cmd_hh(args) -> dict:
 
 
 def _cmd_rare(args) -> dict:
+    charax.require_at_least_one(args.bin_width, "bin_width")
     _total, _predictor, stream = _simulate_for(args)
     report = charax.rare_bins(charax.per_ip_totals(stream), args.bin_width)
     reports.write_rare_bins_csv(_out_dir(args) / "rare_bins.csv", report)
@@ -261,18 +263,22 @@ def _cmd_regvals(args) -> dict:
 
 
 def _model_config(args) -> pipeline.PipelineModelConfig:
-    return pipeline.PipelineModelConfig(
+    """The analytic machine, checked at every --scales entry."""
+    config = pipeline.PipelineModelConfig(
         width=args.width, penalty=args.penalty, scaled_penalty=args.scaled_penalty
     )
+    pipeline.at_scales(config, args.scales)
+    return config
 
 
 def _cmd_limit(args) -> dict:
-    total, _predictor, stream = _simulate_for(args)
-    stats = charax.per_ip_totals(stream)
     oracles = [pipeline.PredictionOracle.perfect_min_execs(c) for c in args.cutoffs]
     if args.perfect_ips:
         oracles.append(pipeline.PredictionOracle.perfect_set(args.perfect_ips))
-    curve = pipeline.scaling_sweep(_model_config(args), args.scales, total, stats, oracles)
+    config = _model_config(args)
+    total, _predictor, stream = _simulate_for(args)
+    stats = charax.per_ip_totals(stream)
+    curve = pipeline.scaling_sweep(config, args.scales, total, stats, oracles)
     reports.write_opportunity_csv(_out_dir(args) / "opportunity.csv", curve)
     base = curve.at(args.scales[0], "as-simulated")
     return {

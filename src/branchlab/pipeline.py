@@ -169,6 +169,13 @@ class OpportunityCurve:
         raise KeyError((scale, oracle_label))
 
 
+def at_scales(config: PipelineModelConfig, scales: Sequence[int]) -> list[PipelineModelConfig]:
+    """``config`` at each of ``scales``, which must be a non-empty list."""
+    if not scales:
+        raise ArgumentError("scale list is empty")
+    return [config.at_scale(s) for s in scales]
+
+
 def scaling_sweep(
     config: PipelineModelConfig,
     scales: Sequence[int],
@@ -180,15 +187,13 @@ def scaling_sweep(
 
     The as-simulated and perfect-all oracles are always included; extra
     oracles are appended in the order given."""
-    if not scales:
-        raise ArgumentError("scale list is empty")
+    machines = at_scales(config, scales)
     base = [PredictionOracle.as_simulated(), PredictionOracle.perfect_all()]
     labels = {o.label for o in base}
     ordered = base + [o for o in oracles if o.label not in labels]
     raw = effective_mispredictions(stats, PredictionOracle.as_simulated())
     points = []
-    for s in scales:
-        cfg = config.at_scale(s)
+    for s, cfg in zip(scales, machines):
         for oracle in ordered:
             m = effective_mispredictions(stats, oracle)
             r = ipc(cfg, instructions, m)
@@ -240,14 +245,11 @@ def storage_sweep(
 ) -> StorageSweepResult:
     """Simulate the ensemble at each storage budget and score each budget's
     IPC against the gap between the anchor budget and perfect prediction."""
-    from .predictors import TageSCL, simulate
+    from .predictors import TageSCL, ensemble_config, simulate
 
     if not budgets:
         raise ArgumentError("budget list is empty")
-    if not scales:
-        raise ArgumentError("scale list is empty")
-    if config is None:
-        config = PipelineModelConfig()
+    machines = at_scales(PipelineModelConfig() if config is None else config, scales)
     records = list(records)
     if not records:
         raise EmptyTargetError("trace holds no branch records")
@@ -256,8 +258,10 @@ def storage_sweep(
 
     mis_by_budget: dict[int, int] = {}
     acc_by_budget: dict[int, float] = {}
-    for budget in sorted(set(budgets) | {anchor_budget}):
-        stream = simulate(records, TageSCL(budget, seed=seed))
+    # every budget's geometry first, so an off-grid budget simulates none
+    geometries = {b: ensemble_config(b) for b in sorted(set(budgets) | {anchor_budget})}
+    for budget, geometry in geometries.items():
+        stream = simulate(records, TageSCL(geometry, seed=seed))
         if not stream:
             raise EmptyTargetError("trace holds no COND branches")
         mis_by_budget[budget] = stream.mispredictions()
@@ -267,8 +271,7 @@ def storage_sweep(
     m_anchor = mis_by_budget[anchor_budget]
     for budget in budgets:
         m = mis_by_budget[budget]
-        for s in scales:
-            cfg = config.at_scale(s)
+        for s, cfg in zip(scales, machines):
             r = ipc(cfg, total_instructions, m)
             anchor_ipc = ipc(cfg, total_instructions, m_anchor).ipc
             perfect_ipc = cfg.effective_width

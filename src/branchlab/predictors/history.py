@@ -1,4 +1,5 @@
-"""Global branch history state and history-folding helpers."""
+"""Global branch history state and the history folds: scalar
+(``fold_history``, ``FoldedRegister``) and whole-trace (``fold_trace``)."""
 
 from __future__ import annotations
 
@@ -102,75 +103,47 @@ def fold_trace(bits, lengths, width: int, start: int = 0) -> np.ndarray:
 class GlobalHistory:
     """Direction and path history shared by history-based predictors.
 
-    Direction bits sit in a ring buffer so that single-bit reads at any
-    age stay O(1) even for multi-thousand-bit histories; a rolling 64-bit
-    register shadows the newest bits for cheap window extraction. Path
-    history keeps the low 16 bits of the last ``path_entries`` branch ips,
-    most recent in the low chunk.
+    The newest ``capacity`` directions are one int, ``bits``, with bit 0
+    the newest; older and unwritten history reads as 0 (not taken). Path
+    history keeps the low 16 bits of the last PATH_ENTRIES branch ips,
+    newest in the low chunk.
     """
 
-    __slots__ = ("capacity", "path", "_buf", "_head", "_low", "_low_mask", "_path_mask")
+    __slots__ = ("capacity", "bits", "path", "_mask")
 
     PATH_CHUNK_BITS = 16
-    LOW_BITS = 64
+    PATH_ENTRIES = 4
+    _PATH_MASK = (1 << (PATH_ENTRIES * PATH_CHUNK_BITS)) - 1
 
-    def __init__(self, capacity: int, path_entries: int = 4):
+    def __init__(self, capacity: int):
         if capacity < 1:
             raise ArgumentError(f"history capacity must be >= 1, got {capacity}")
         self.capacity = capacity
+        self.bits = 0
         self.path = 0
-        self._buf = bytearray(capacity)
-        self._head = 0   # ring slot of the most recent bit
-        self._low = 0
-        self._low_mask = (1 << min(self.LOW_BITS, capacity)) - 1
-        self._path_mask = (1 << (path_entries * self.PATH_CHUNK_BITS)) - 1
+        self._mask = (1 << capacity) - 1
 
     def push_direction(self, taken: bool) -> None:
-        b = 1 if taken else 0
-        head = self._head - 1
-        if head < 0:
-            head = self.capacity - 1
-        self._head = head
-        self._buf[head] = b
-        self._low = ((self._low << 1) | b) & self._low_mask
+        self.bits = ((self.bits << 1) | (1 if taken else 0)) & self._mask
 
     def push_path(self, ip: int) -> None:
-        self.path = ((self.path << self.PATH_CHUNK_BITS) | (ip & 0xFFFF)) & self._path_mask
+        self.path = ((self.path << self.PATH_CHUNK_BITS) | (ip & 0xFFFF)) & self._PATH_MASK
 
     def push_many(self, directions, ips) -> None:
         """The state that push_direction over ``directions`` and push_path
-        over ``ips``, each in order, would leave. Only the newest entries
-        survive those pushes, so only they are written."""
-        n = len(directions)
-        keep = min(n, self.capacity)
-        self._head = (self._head - (n - keep)) % self.capacity
-        for taken in directions[n - keep:]:
-            self.push_direction(taken)
-        entries = self._path_mask.bit_length() // self.PATH_CHUNK_BITS
-        for ip in ips[len(ips) - min(entries, len(ips)):]:
+        over ``ips``, each in order, would leave."""
+        # the newest capacity outcomes, newest first: bit 0 when packed LSB-first
+        newest = np.asarray(directions, dtype=np.uint8)[::-1][:self.capacity]
+        packed = np.packbits(newest, bitorder="little").tobytes()
+        self.bits = ((self.bits << len(newest)) | int.from_bytes(packed, "little")) & self._mask
+        for ip in ips[max(0, len(ips) - self.PATH_ENTRIES):]:
             self.push_path(ip)
 
     def bit(self, age: int) -> int:
-        """Direction bit ``age`` outcomes back (0 == most recent);
-        unwritten or expired history reads as 0 (not taken)."""
-        if age >= self.capacity:
-            return 0
-        i = self._head + age
-        if i >= self.capacity:
-            i -= self.capacity
-        return self._buf[i]
+        """Direction bit ``age`` outcomes back (0 == most recent)."""
+        return (self.bits >> age) & 1
 
     def window(self, length: int) -> int:
         """The most recent ``length`` direction bits as an int, bit 0 most
-        recent; bits older than the capacity read as 0."""
-        if length <= min(self.LOW_BITS, self.capacity):
-            return self._low & ((1 << length) - 1)
-        out = 0
-        for age in range(min(length, self.capacity)):
-            if self.bit(age):
-                out |= 1 << age
-        return out
-
-    def path_window(self, length: int) -> int:
-        """The most recent ``length`` path bits as an int."""
-        return self.path & ((1 << length) - 1)
+        recent."""
+        return self.bits & ((1 << length) - 1)

@@ -16,6 +16,7 @@ from .base import require_pow2
 
 # per-entry field widths, bits: tag 10, past 12, current 12, conf 2, age 3
 ENTRY_BITS = 39
+_TAG_MASK = (1 << 10) - 1
 _MAX_TRIP = (1 << 12) - 1
 _FRESH_AGE = 7
 
@@ -39,15 +40,14 @@ class LoopLookup:
 
 
 class LoopPredictor:
-    def __init__(self, entries: int = 64, tag_bits: int = 10):
+    def __init__(self, entries: int = 64):
         self.entries = require_pow2(entries, "loop entries")
-        self.tag_bits = tag_bits
         self._idx_bits = entries.bit_length() - 1
         self.table = [LoopEntry() for _ in range(entries)]
 
     def _slot(self, ip: int) -> tuple[LoopEntry, int]:
         idx = (ip >> 2) & (self.entries - 1)
-        tag = (ip >> (2 + self._idx_bits)) & ((1 << self.tag_bits) - 1)
+        tag = (ip >> (2 + self._idx_bits)) & _TAG_MASK
         return self.table[idx], tag
 
     def lookup(self, ip: int) -> LoopLookup:

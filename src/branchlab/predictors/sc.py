@@ -13,10 +13,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import compress
 
-from ..errors import ConfigError
 from .base import clamp, require_pow2
 
 WINDOWS = (8, 16, 32)
+# signed weight width, and the dynamic threshold's start and bounds
+WEIGHT_BITS = 6
+_WMIN = -(1 << (WEIGHT_BITS - 1))
+_WMAX = (1 << (WEIGHT_BITS - 1)) - 1
+THETA_INIT, THETA_MIN, THETA_MAX = 6, 1, 63
 _SHEARS = tuple(3 + k for k in range(len(WINDOWS)))
 # _BYTE_BITS[b][j] is bit j of byte b, so a window's bits, LSB first, are
 # concatenated byte rows
@@ -27,23 +31,13 @@ _BYTE_BITS = tuple(tuple((b >> j) & 1 for j in range(8)) for b in range(256))
 class CorrectorConfig:
     bias_entries: int = 1024
     vector_rows: int = 16
-    weight_bits: int = 6
-    theta_init: int = 6
-    theta_min: int = 1
-    theta_max: int = 63
 
     def validate(self) -> None:
         require_pow2(self.bias_entries, "bias_entries")
         require_pow2(self.vector_rows, "vector_rows")
-        if self.weight_bits < 2:
-            raise ConfigError(f"weight_bits must be >= 2, got {self.weight_bits}")
-        if not (self.theta_min <= self.theta_init <= self.theta_max):
-            raise ConfigError("theta_init outside [theta_min, theta_max]")
 
     def storage_bytes(self) -> int:
-        bits = self.bias_entries * self.weight_bits
-        bits += sum(WINDOWS) * self.vector_rows * self.weight_bits
-        return bits // 8
+        return (self.bias_entries + sum(WINDOWS) * self.vector_rows) * WEIGHT_BITS // 8
 
 
 # not frozen, like tage.TageLookup: built once per simulated branch
@@ -60,11 +54,9 @@ class StatisticalCorrector:
         cfg = config if config is not None else CorrectorConfig()
         cfg.validate()
         self.config = cfg
-        self._wmin = -(1 << (cfg.weight_bits - 1))
-        self._wmax = (1 << (cfg.weight_bits - 1)) - 1
         self.bias = [0] * cfg.bias_entries
         self.vectors = [[[0] * w for _ in range(cfg.vector_rows)] for w in WINDOWS]
-        self.theta = cfg.theta_init
+        self.theta = THETA_INIT
         self._bias_mask = cfg.bias_entries - 1
         self._row_mask = cfg.vector_rows - 1
 
@@ -105,21 +97,21 @@ class StatisticalCorrector:
         # dynamic threshold adapts on TAGE/SC disagreements
         if sc_taken != tage_taken:
             if sc_taken == outcome and abs(total) <= self.theta:
-                self.theta = max(self.config.theta_min, self.theta - 1)
+                self.theta = max(THETA_MIN, self.theta - 1)
             elif sc_taken != outcome and abs(total) > self.theta:
-                self.theta = min(self.config.theta_max, self.theta + 1)
+                self.theta = min(THETA_MAX, self.theta + 1)
         if decision.taken == outcome and abs(total) > self.theta:
             return
         t = 1 if outcome else -1
         b = (ip >> 2) & self._bias_mask
-        self.bias[b] = clamp(self.bias[b] + t, self._wmin, self._wmax)
+        self.bias[b] = clamp(self.bias[b] + t, _WMIN, _WMAX)
         rows = self._rows(ip)
         for k, w in enumerate(WINDOWS):
             vec = self.vectors[k][rows[k]]
             for j in range(w):
                 x = 1 if (history_bits >> j) & 1 else -1
                 nw = vec[j] + t * x
-                if self._wmin <= nw <= self._wmax:
+                if _WMIN <= nw <= _WMAX:
                     vec[j] = nw
 
     def storage_bytes(self) -> int:

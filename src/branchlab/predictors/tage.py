@@ -20,10 +20,13 @@ import numpy as np
 from ..errors import ConfigError
 from ..records import BranchKind, BranchRecord
 from .base import ConditionalPredictor, clamp, counter_confidence, require_pow2
-from .history import GlobalHistory, fold_history, fold_trace
+from .history import FoldedRegister, GlobalHistory, fold_history, fold_trace
 
 # use-alt heuristic: entry counts as newly allocated for this many updates
 FRESH_UPDATES = 4
+# signed prediction counter and usefulness counter of a tagged entry, bits
+COUNTER_BITS = 3
+USEFUL_BITS = 2
 # path window folded into each index hash, bits (2 path chunks)
 PATH_MIX_BITS = 32
 # COND records whose indices and tags are computed in one numpy pass
@@ -36,9 +39,9 @@ _PC_MASK = (1 << 62) - 1
 class TageConfig:
     """Geometry of a TAGE instance.
 
-    Tag widths default to 8 + i//2 bits for table i, capped at 12. History
-    lengths follow L(i) = round(min_hist * r**i) with r solved so the last
-    table sits exactly at max_hist.
+    Table i has 8 + i//2 tag bits, capped at 12. History lengths follow
+    L(i) = round(min_hist * r**i) with r solved so the last table sits
+    exactly at max_hist.
     """
 
     num_tagged_tables: int = 12
@@ -46,19 +49,8 @@ class TageConfig:
     min_hist: int = 4
     max_hist: int = 1000
     base_entries: int = 4096
-    counter_bits: int = 3
-    useful_bits: int = 2
-    tag_widths: tuple[int, ...] | None = None
 
-    def resolved_tag_widths(self) -> tuple[int, ...]:
-        if self.tag_widths is not None:
-            if len(self.tag_widths) != self.num_tagged_tables:
-                raise ConfigError(
-                    f"{len(self.tag_widths)} tag widths for {self.num_tagged_tables} tables"
-                )
-            if any(w < 2 for w in self.tag_widths):
-                raise ConfigError("tag widths must be >= 2 bits")
-            return self.tag_widths
+    def tag_widths(self) -> tuple[int, ...]:
         return tuple(min(12, 8 + i // 2) for i in range(self.num_tagged_tables))
 
     def history_lengths(self) -> tuple[int, ...]:
@@ -87,23 +79,17 @@ class TageConfig:
 
     def validate(self) -> None:
         require_pow2(self.entries_per_table, "entries_per_table")
+        if self.entries_per_table < 2:  # the index folds need a width of at least 1
+            raise ConfigError(f"entries_per_table must be >= 2, got {self.entries_per_table}")
         require_pow2(self.base_entries, "base_entries")
-        if self.counter_bits < 2:
-            raise ConfigError(f"counter_bits must be >= 2, got {self.counter_bits}")
-        if self.useful_bits < 1:
-            raise ConfigError(f"useful_bits must be >= 1, got {self.useful_bits}")
-        self.resolved_tag_widths()
         self.history_lengths()
 
     def storage_bytes(self) -> int:
         """Modeled table storage: tag + counter + usefulness bits per tagged
         entry, 2 bits per base entry. Bookkeeping (freshness, telemetry) is
         not hardware state and is excluded."""
-        tag_widths = self.resolved_tag_widths()
-        bits = sum(
-            self.entries_per_table * (w + self.counter_bits + self.useful_bits)
-            for w in tag_widths
-        )
+        bits = sum(self.entries_per_table * (w + COUNTER_BITS + USEFUL_BITS)
+                   for w in self.tag_widths())
         bits += self.base_entries * 2
         return bits // 8
 
@@ -140,11 +126,11 @@ class Tage(ConditionalPredictor):
         cfg.validate()
         self.config = cfg
         self.lengths = cfg.history_lengths()
-        self.tag_widths = cfg.resolved_tag_widths()
+        self.tag_widths = cfg.tag_widths()
         self.index_bits = cfg.entries_per_table.bit_length() - 1
-        self.ctr_min = -(1 << (cfg.counter_bits - 1))
-        self.ctr_max = (1 << (cfg.counter_bits - 1)) - 1
-        self.u_max = (1 << cfg.useful_bits) - 1
+        self.ctr_min = -(1 << (COUNTER_BITS - 1))
+        self.ctr_max = (1 << (COUNTER_BITS - 1)) - 1
+        self.u_max = (1 << USEFUL_BITS) - 1
         n = cfg.num_tagged_tables
         e = cfg.entries_per_table
         self.tags = [[-1] * e for _ in range(n)]
@@ -156,75 +142,31 @@ class Tage(ConditionalPredictor):
         self.rng = random.Random(seed)
         self.alloc_total: dict[int, int] = {}
         self.alloc_sites: dict[int, set[tuple[int, int]]] = {}
-        # Folded history registers, stored as parallel int lists and updated
-        # inline in retire_history (same math as history.FoldedRegister).
-        self._fi_comp = [0] * n
-        self._f0_comp = [0] * n
-        self._f1_comp = [0] * n
+        # Each table's history of length L, rolled into three folds: the
+        # index, the tag and a second tag one bit narrower, (fi, f0, f1).
+        self.folds = [
+            (FoldedRegister(L, self.index_bits), FoldedRegister(L, w), FoldedRegister(L, w - 1))
+            for L, w in zip(self.lengths, self.tag_widths)
+        ]
         self._idx_mask = (1 << self.index_bits) - 1
         self._base_mask = cfg.base_entries - 1
         self._longest_first = range(n - 1, -1, -1)
-        f1_widths = [max(1, w - 1) for w in self.tag_widths]
         self._tag_masks = [(1 << w) - 1 for w in self.tag_widths]
-        self._f1_masks = [(1 << w) - 1 for w in f1_widths]
-        self._fold_consts = [
-            (
-                L - 1,
-                L % self.index_bits,
-                self.tag_widths[i],
-                L % self.tag_widths[i],
-                self._tag_masks[i],
-                f1_widths[i],
-                L % f1_widths[i],
-                self._f1_masks[i],
-            )
-            for i, L in enumerate(self.lengths)
-        ]
-        # path-fold plans: one chunk list per distinct folded path width
-        pbits = [min(L, PATH_MIX_BITS) for L in self.lengths]
-        self._pbits_distinct = sorted(set(pbits))
-        self._pslot = [self._pbits_distinct.index(p) for p in pbits]
-        self._pfold_plans = []
-        for pb in self._pbits_distinct:
-            plan = []
-            consumed = 0
-            while consumed < pb:
-                take = min(self.index_bits, pb - consumed)
-                plan.append((pb - consumed - take, (1 << take) - 1, self.index_bits - take))
-                consumed += take
-            self._pfold_plans.append(plan)
         self._pc_shifts = [abs(self.index_bits - i) + 1 for i in range(n)]
-        # whole-trace folds grouped by width: (register 0=fi 1=f0 2=f1, table, length)
-        groups: dict[int, list[tuple[int, int, int]]] = {}
-        for i, L in enumerate(self.lengths):
-            groups.setdefault(self.index_bits, []).append((0, i, L))
-            groups.setdefault(self.tag_widths[i], []).append((1, i, L))
-            groups.setdefault(f1_widths[i], []).append((2, i, L))
-        self._fold_groups = sorted(groups.items())
 
     # ------------------------------------------------------------ lookup
 
     def _indices_tags(self, ip: int) -> tuple[list[int], list[int]]:
         pc = ip >> 2
-        idx_mask = self._idx_mask
         path = self.history.path
-        pfolds = []
-        for plan in self._pfold_plans:
-            acc = 0
-            for shift, mask, pad in plan:
-                acc ^= ((path >> shift) & mask) << pad
-            pfolds.append(acc)
-        fi = self._fi_comp
-        f0 = self._f0_comp
-        f1 = self._f1_comp
-        pslot = self._pslot
-        pc_shifts = self._pc_shifts
-        tag_masks = self._tag_masks
         indices = []
         tags = []
-        for i in range(len(self.lengths)):
-            indices.append((pc ^ (pc >> pc_shifts[i]) ^ fi[i] ^ pfolds[pslot[i]]) & idx_mask)
-            tags.append((pc ^ f0[i] ^ (f1[i] << 1)) & tag_masks[i])
+        for L, (fi, f0, f1), shift, tag_mask in zip(
+            self.lengths, self.folds, self._pc_shifts, self._tag_masks
+        ):
+            pfold = fold_history(path, min(L, PATH_MIX_BITS), self.index_bits)
+            indices.append((pc ^ (pc >> shift) ^ fi.comp ^ pfold) & self._idx_mask)
+            tags.append((pc ^ f0.comp ^ (f1.comp << 1)) & tag_mask)
         return indices, tags
 
     def lookup(self, ip: int) -> TageLookup:
@@ -286,14 +228,8 @@ class Tage(ConditionalPredictor):
 
     # ------------------------------------------------------------ update
 
-    def update(self, record: BranchRecord, info: TageLookup | None = None) -> None:
-        if record.kind is not BranchKind.COND:
-            self.history.push_path(record.ip)
-            return
-        if info is None:
-            info = self.lookup(record.ip)
-        self.train(record, info)
-        self.retire_history(record)
+    def update(self, record: BranchRecord) -> None:
+        self.step(record)
 
     def train(self, record: BranchRecord, info: TageLookup) -> None:
         """Table updates for a COND outcome; history is retired separately so
@@ -320,25 +256,10 @@ class Tage(ConditionalPredictor):
     def retire_history(self, record: BranchRecord) -> None:
         bit = 1 if record.taken else 0
         h = self.history
-        hbit = h.bit
-        fi = self._fi_comp
-        f0 = self._f0_comp
-        f1 = self._f1_comp
-        iw = self.index_bits
-        imask = self._idx_mask
-        i = 0
-        for age, fi_out, f0w, f0o, f0m, f1w, f1o, f1m in self._fold_consts:
-            out = hbit(age)
-            c = ((fi[i] << 1) | bit) ^ (out << fi_out)
-            c ^= c >> iw
-            fi[i] = c & imask
-            c = ((f0[i] << 1) | bit) ^ (out << f0o)
-            c ^= c >> f0w
-            f0[i] = c & f0m
-            c = ((f1[i] << 1) | bit) ^ (out << f1o)
-            c ^= c >> f1w
-            f1[i] = c & f1m
-            i += 1
+        for L, regs in zip(self.lengths, self.folds):
+            out = h.bit(L - 1)
+            for reg in regs:
+                reg.update(bit, out)
         h.push_direction(record.taken)
         h.push_path(record.ip)
 
@@ -412,7 +333,8 @@ class Tage(ConditionalPredictor):
         n = len(conds)
         directions = np.fromiter((r.taken for r in conds), dtype=np.uint8, count=n)
         # the live history, oldest first, then the trace's outcomes
-        live = np.fromiter((h.bit(age) for age in range(cap - 1, -1, -1)), dtype=np.uint8, count=cap)
+        live = np.frombuffer(h.bits.to_bytes((cap + 7) // 8, "little"), dtype=np.uint8)
+        live = np.unpackbits(live, count=cap, bitorder="little")[::-1]
         bits = np.concatenate([live, directions])
         # the live path chunks, oldest first, then the trace's ips: chunk c
         # (0 newest) before record r sits at r + chunks - 1 - c
@@ -426,10 +348,8 @@ class Tage(ConditionalPredictor):
         pcs = np.array([(r.ip >> 2) & _PC_MASK for r in conds], dtype=np.int64)
 
         # the state after the last record
-        fi, f0, f1 = self._trace_folds(bits[n:])
-        self._fi_comp = fi[:, 0].tolist()
-        self._f0_comp = f0[:, 0].tolist()
-        self._f1_comp = f1[:, 0].tolist()
+        for reg, comp in zip(self._registers(), self._trace_folds(bits[n:])[:, -1].tolist()):
+            reg.comp = comp
         h.push_many(directions, ips)
 
         def lookups():
@@ -446,23 +366,32 @@ class Tage(ConditionalPredictor):
 
         return lookups()
 
-    def _trace_folds(self, seg: np.ndarray) -> tuple[np.ndarray, ...]:
-        """Folded registers (fi, f0, f1), one row per table, after each of
-        seg[:cap], seg[:cap + 1] .. seg, where cap is the history capacity."""
+    def _registers(self) -> list[FoldedRegister]:
+        """Every fold register, table by table, each table's (fi, f0, f1)."""
+        return [reg for regs in self.folds for reg in regs]
+
+    def _trace_folds(self, seg: np.ndarray) -> np.ndarray:
+        """The comp of every register of _registers(), one row each, after
+        each of seg[:cap], seg[:cap + 1] .. seg, where cap is the history
+        capacity; one fold_trace per distinct register width."""
         cap = self.history.capacity
-        regs = tuple(np.empty((len(self.lengths), len(seg) + 1 - cap), dtype=np.int64) for _ in range(3))
-        for width, members in self._fold_groups:
-            folded = fold_trace(seg, [L for _, _, L in members], width, cap)
-            for row, (reg, i, _) in zip(folded, members):
-                regs[reg][i] = row
-        return regs
+        registers = self._registers()
+        rows_of: dict[int, list[int]] = {}
+        for row, reg in enumerate(registers):
+            rows_of.setdefault(reg.width, []).append(row)
+        out = np.empty((len(registers), len(seg) + 1 - cap), dtype=np.int64)
+        for width, rows in rows_of.items():
+            out[rows] = fold_trace(seg, [registers[r].length for r in rows], width, cap)
+        return out
 
     def _trace_hashes(self, seg, pcs, paths) -> tuple[np.ndarray, np.ndarray]:
         """Table indices and tags, one row per table, as _indices_tags()
         computes them at each state _trace_folds(seg) gives."""
-        fi, f0, f1 = self._trace_folds(seg)
-        pfolds = [fold_history(paths, pb, self.index_bits) for pb in self._pbits_distinct]
-        pfold = np.stack([pfolds[slot] for slot in self._pslot])
+        folds = self._trace_folds(seg)
+        fi, f0, f1 = folds[0::3], folds[1::3], folds[2::3]
+        widths = [min(L, PATH_MIX_BITS) for L in self.lengths]
+        pfolds = {pb: fold_history(paths, pb, self.index_bits) for pb in set(widths)}
+        pfold = np.stack([pfolds[pb] for pb in widths])
         shifts = np.array(self._pc_shifts, dtype=np.int64)[:, None]
         indices = (pcs ^ (pcs >> shifts) ^ fi ^ pfold) & self._idx_mask
         tags = (pcs ^ f0 ^ (f1 << 1)) & np.array(self._tag_masks, dtype=np.int64)[:, None]

@@ -481,6 +481,24 @@ USAGE_ERRORS = {
                                "--regs", "0,300", "--out", "{tmp}/out"],
                           "register ids must lie in [0, 255], got 300 in '0,300'"),
 }
+# flags of the simulating commands, each rejected before the simulation
+_SIMULATED = ["--trace", "{it1b}", "--out", "{tmp}/out"]
+BEFORE_SIMULATION = {
+    "max-acc-0": (["h2p", *_SIMULATED, "--max-acc", "0"], "max_accuracy must be in (0,1], got 0.0"),
+    "slice-len-0": (["h2p", *_SIMULATED, "--slice-len", "0"], "slice_len must be >= 1, got 0"),
+    "bin-width-0": (["rare", *_SIMULATED, "--bin-width", "0"], "bin_width must be >= 1, got 0"),
+    "width-0": (["limit", *_SIMULATED, "--width", "0"],
+                "width, penalty, and scale must all be positive"),
+    "cutoffs--5": (["limit", *_SIMULATED, "--cutoffs", "-5"], "execution cutoff must be >= 0"),
+    "budgets-off-grid": (["sweep", *_SIMULATED, "--budgets", "8192,12288"],
+                         "budget 12288 bytes is not on the supported 8KB*2^k grid"),
+    "limit-scales-0": (["limit", *_SIMULATED, "--scales", "1,0"],
+                       "width, penalty, and scale must all be positive"),
+    "limit-scales-empty": (["limit", *_SIMULATED, "--scales", ","], "scale list is empty"),
+    "sweep-scales-0": (["sweep", *_SIMULATED, "--scales", "0"],
+                       "width, penalty, and scale must all be positive"),
+}
+USAGE_ERRORS.update({case: ({}, *row) for case, row in BEFORE_SIMULATION.items()})
 
 
 @pytest.mark.parametrize("case", list(USAGE_ERRORS))
@@ -496,6 +514,22 @@ def test_bad_value_is_one_line_usage_error(case, ws, helper_ws, tmp_path):
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.splitlines() == [f"branchlab: usage error: {message.format(**paths)}"]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("case", list(BEFORE_SIMULATION))
+def test_usage_error_exits_before_simulating(case, ws, tmp_path, capsys, monkeypatch):
+    """With simulation made to fail, each bad flag still exits 2 with its
+    own message: it was rejected before any simulation started."""
+    def simulate(*args, **kwargs):
+        raise AssertionError("simulated before rejecting a bad flag")
+
+    monkeypatch.setattr("branchlab.predictors.simulate", simulate)
+    monkeypatch.setattr("branchlab.cli.simulate", simulate)
+    argv, message = BEFORE_SIMULATION[case]
+    paths = {"tmp": tmp_path, "it1b": ws["it1b"]}
+    code, out, err = run(capsys, *(arg.format(**paths) for arg in argv))
+    assert (code, out, err) == (2, "", f"branchlab: usage error: {message}\n")
     assert not (tmp_path / "out").exists()
 
 

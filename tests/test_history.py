@@ -120,8 +120,11 @@ class TestGlobalHistory:
         st.lists(st.booleans(), max_size=150),
         st.lists(st.booleans(), max_size=250),
         st.lists(st.integers(0, (1 << 64) - 1), max_size=8),
+        st.booleans(),
     )
-    def test_push_many_equals_single_pushes(self, capacity, before, directions, ips):
+    def test_push_many_equals_single_pushes(self, capacity, before, directions, ips, as_array):
+        """Outcomes come as a list of bools or, as retire_trace passes
+        them, as a numpy uint8 array."""
         one = GlobalHistory(capacity)
         many = GlobalHistory(capacity)
         for taken in before:
@@ -131,10 +134,8 @@ class TestGlobalHistory:
             one.push_direction(taken)
         for ip in ips:
             one.push_path(ip)
-        many.push_many(directions, ips)
-        assert (bytes(many._buf), many._head, many._low, many.path) == (
-            bytes(one._buf), one._head, one._low, one.path
-        )
+        many.push_many(np.array(directions, dtype=np.uint8) if as_array else directions, ips)
+        assert (many.bits, many.path) == (one.bits, one.path)
 
     @given(st.integers(1, 300), st.lists(st.booleans(), max_size=400))
     def test_bit_and_window_agree_with_list_model(self, capacity, directions):
@@ -167,7 +168,7 @@ class TestGlobalHistory:
         assert gh.window(64) == 0b111
 
     @given(st.lists(st.integers(0, (1 << 64) - 1), max_size=60))
-    def test_path_window_tracks_recent_ips(self, ips):
+    def test_path_tracks_recent_ips(self, ips):
         gh = GlobalHistory(32)
         chunk = GlobalHistory.PATH_CHUNK_BITS
         model = 0
@@ -175,10 +176,9 @@ class TestGlobalHistory:
         for ip in ips:
             gh.push_path(ip)
             model = ((model << chunk) | (ip & 0xFFFF)) & mask
-            assert gh.path_window(chunk * 4) == model
             assert gh.path == model
-            # truncated view keeps the most recent entries
-            assert gh.path_window(chunk) == ip & 0xFFFF
+            # the newest entry sits in the low chunk
+            assert gh.path & 0xFFFF == ip & 0xFFFF
 
     def test_zero_length_window_is_empty(self):
         gh = GlobalHistory(8)

@@ -1,6 +1,7 @@
 """Predictor unit behavior: counters, history reach, loop termination,
 TAGE allocation, corrector arbitration, presets and budgets."""
 
+import hashlib
 import importlib.util
 import random
 from pathlib import Path
@@ -29,6 +30,7 @@ from branchlab.predictors import (
     SimRecord,
     simulate,
 )
+from branchlab.predictors.sc import THETA_MAX, THETA_MIN
 from branchlab.synth import Biased, DataDependent, RarePool, SyntheticProgramSpec, generate_trace
 from branchlab.traceio import project_branches
 
@@ -218,7 +220,7 @@ class TestLoopPredictor:
         assert lp.lookup(0x600).predict_valid is False
 
     def test_occupied_slot_ages_before_takeover(self):
-        lp = LoopPredictor(entries=1, tag_bits=10)
+        lp = LoopPredictor(entries=1)
         self.run_instances(lp, trip=4, instances=4, ip=0x600)
         assert lp.lookup(0x600).predict_valid
         other = 0x600 + (1 << 12)   # same slot, different tag
@@ -289,10 +291,6 @@ class TestTage:
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             TageConfig(entries_per_table=100).validate()
-        with pytest.raises(ConfigError):
-            TageConfig(counter_bits=1).validate()
-        with pytest.raises(ConfigError):
-            TageConfig(tag_widths=(8,)).validate()
 
 
 class TestStatisticalCorrector:
@@ -327,7 +325,7 @@ class TestStatisticalCorrector:
             hist = rng.randrange(1 << 32)
             d = sc.adjust(ip, rng.random() < 0.5, rng.randrange(4), hist)
             sc.train(ip, rng.random() < 0.5, hist, d, rng.random() < 0.5)
-            assert sc.config.theta_min <= sc.theta <= sc.config.theta_max
+            assert THETA_MIN <= sc.theta <= THETA_MAX
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
@@ -434,6 +432,7 @@ class TestPresetsAndConfig:
         ({"predictor": "perceptron", "weight_bits": "8.5"}, "unparseable weight_bits"),
         ({"predictor": "tage", "min_hist": "x"}, "unparseable min_hist"),
         ({"predictor": "tage", "entries_per_table": "1q"}, "unparseable entries_per_table"),
+        ({"predictor": "tage", "entries_per_table": "1"}, "entries_per_table must be >= 2, got 1"),
     ])
     def test_config_value_errors(self, mapping, match):
         with pytest.raises(ConfigError, match=match):
@@ -533,8 +532,8 @@ def predictor_state(p):
     h = p.history
     return (
         p.tags, p.ctrs, p.useful, p.fresh, p.base,
-        p._fi_comp, p._f0_comp, p._f1_comp,
-        bytes(h._buf), h._head, h._low, h.path,
+        [reg.comp for regs in p.folds for reg in regs],
+        h.bits, h.path,
         p.alloc_total, p.alloc_sites, p.rng.getstate(),
     )
 
@@ -568,6 +567,23 @@ class TestReplay:
         reference = make_predictor(preset, seed=3)
         got = simulate(records, fast)
         want = stepped(records, reference)
+        assert got.records == want.records
+        assert predictor_state(fast) == predictor_state(reference)
+
+    @pytest.mark.parametrize("preset", TAGE_PRESETS)
+    def test_probe_stream_from_a_warm_state(self, probes, preset):
+        """The second half of the README mix, replayed from the history
+        that stepping through its first half left: every live direction
+        bit, oldest to newest, reaches the replay's folds."""
+        records = probes["readme-mix"]
+        half = len(records) // 2
+        fast = make_predictor(preset, seed=3)
+        reference = make_predictor(preset, seed=3)
+        for rec in records[:half]:
+            fast.step(rec)
+            reference.step(rec)
+        got = simulate(records[half:], fast)
+        want = stepped(records[half:], reference)
         assert got.records == want.records
         assert predictor_state(fast) == predictor_state(reference)
 
@@ -616,3 +632,97 @@ class TestReplay:
             providers |= {r.provider for r in simulate(records, make_predictor("tage-sc-l:8kb"))}
         assert {"base", "alt", "loop", "sc"} <= providers
         assert any(p.startswith("tage") for p in providers)
+
+
+# --- streams and storage pinned across versions -------------------------------
+
+def mixed_kind_stream(n=3_000, seed=11):
+    """Every branch kind over hot and arbitrary 64-bit ips, drawn with
+    Python's random so that the stream does not move with numpy."""
+    rng = random.Random(seed)
+    kinds = [BranchKind.COND] * 4 + [k for k in BranchKind if k is not BranchKind.COND]
+    hot = [0x100, 0x104, 0x900, 0x4000, 0x400100]
+    records = []
+    for seq in range(n):
+        kind = rng.choice(kinds)
+        ip = rng.choice(hot) if rng.random() < 0.8 else rng.getrandbits(64)
+        taken = kind is not BranchKind.COND or rng.random() < (0.9 if ip in hot[:2] else 0.5)
+        records.append(BranchRecord(seq, ip, kind, ip + 4, taken))
+    return records
+
+
+# preset: (estimate_storage, {stream: SHA-256 of simulate(...).to_csv() at seed 0})
+PINNED = {
+    "always-taken": (0, {
+        "periodic-7": "19842a6e623f7b7eb12431dd828dd5de619635a1290671212082a76fbf8ff61c",
+        "xor-2bit": "cc75cd2fa850fb069cb109c01ab4f1178026c7235413e1096c0c012a51683ae8",
+        "loop-37": "6b0e3981a1cdef3d7fee6fb7f67828fd5452189ce6eb15ee2bf3e790183f97b8",
+        "mixed-kinds": "6f506183857bb87bb04f207160020b63f648dfb78fdd42659bc5294d14b7131e",
+    }),
+    "bimodal:4k": (1024, {
+        "periodic-7": "76230f4b76e56e72b5beee352a27500f8e50f7ec262dc7a56543f3538f8e57f0",
+        "xor-2bit": "2be9f16691cfef16017ce0a2410510099d3bc1ae71ccb77788cfddcfbe6b28dd",
+        "loop-37": "9096e886c8c5298c052cb1fc9377cafe5f42774d5fd813358c629ab400ec31d1",
+        "mixed-kinds": "7947f65afdde8f4fb57f37c51dc28ddf5bee89ae14577a826f86f2353a75269b",
+    }),
+    "gshare:16k": (4096, {
+        "periodic-7": "201e849e781c5adb7f31fbbdc39650a570fedc822496d0343f94f1dcbde21225",
+        "xor-2bit": "f379a8d35b3c79481ab38487e7a4ebdfb76ca0ff82c74625a4b0c589e7a59262",
+        "loop-37": "d60ba298eada36f5734de92adcb489ead541d96aa1c94209db0a767a3ef7c3f5",
+        "mixed-kinds": "2c8876d347fdd0f8bba3ff9e89165ccd3f569b9b51bb296726f4625b7f0f38c2",
+    }),
+    "perceptron:28": (7424, {
+        "periodic-7": "1a9de71efd0181f86ab1076c9d92efa6c47eede50a7e2da33f697c85cd318072",
+        "xor-2bit": "82cf7fae566a10964903d1ad63b85890944f295a9bd7b359f032749f0384f259",
+        "loop-37": "ea7a2b628a828577cd09cd7c0ab09ed5e7a758c34a1f0e62699fa460dcdd2a2b",
+        "mixed-kinds": "edc8ddebde5bed81be5360237d0132b3aa8e76a565bc0a5d45afc24fa8874f07",
+    }),
+    "tage-sc-l:8kb": (8664, {
+        "periodic-7": "15406f58a662f37ea09026cc0c7581d28e4b5311c91ab322366aa8f3fae2ac24",
+        "xor-2bit": "f86e5e1cae381fa4c5b8534259e77ece182b1c910683138f3d832466388f516c",
+        "loop-37": "c9ef18d80a5879bdd6ca465abb4db8a95e840d34d37008e6c9a2637bd3e6f801",
+        "mixed-kinds": "3406b2f35a91ad01cc40e012e22382ac781c01a1e24bf0d131cb47c69a1d8436",
+    }),
+    "tage-sc-l:64kb": (69728, {
+        "periodic-7": "2c7fa96769b44e826385c32021a3cfeb539c45512abab1a355c280faa4e6ce67",
+        "xor-2bit": "482bd057a16f9c315dc4e12e03530398c7f7d31033c503777a15ac01b4a9de54",
+        "loop-37": "5203f39e2385971159f70038e20ddadb7fe61d0c32abd5f549f3b306ee84d7ae",
+        "mixed-kinds": "9152f13f824f94e551a142084778b4958ede0906094bc8cafa3a6f5b7f421504",
+    }),
+    "tage:8kb": (6912, {
+        "periodic-7": "7815b52f39573e38ff638cc93ff0dec688491fbcc4910214cb2fa54438933752",
+        "xor-2bit": "58f3caffb64866ed7ba5becfe1b315f94c31fb3ef8b3b645b6785892f3ac78a8",
+        "loop-37": "d4c6a46787d6d6a0b38f93a40961492496ae6d29a12a9174574e0bc7663c3b5c",
+        "mixed-kinds": "87c3be287af33f237b66328994badeb5c53eecf2f53ad808d5360cedce0816c0",
+    }),
+    "tage:64kb": (64256, {
+        "periodic-7": "cccad9606113c6610c77b721eed5e765f6ec81028ba8c05fbf0e85af6a42c8b5",
+        "xor-2bit": "967861b13dbf7283456e677a5501988504b3386ec45a4571844907840deb344b",
+        "loop-37": "dfa7822c8b9bfa481b42bd68b2d070821d3d8103b42fe378bd339f1dd2fb97d7",
+        "mixed-kinds": "4dec3a68e892bf3f28aaeae02f013539ea24374adaaa3903764c0a462117171d",
+    }),
+}
+
+
+@pytest.fixture(scope="module")
+def pinned_inputs():
+    demo = _shootout()
+    return {
+        "periodic-7": demo.periodic_stream(4_000),
+        "xor-2bit": demo.xor_stream(1_500),
+        "loop-37": demo.loop_stream(instances=110),
+        "mixed-kinds": mixed_kind_stream(),
+    }
+
+
+@pytest.mark.parametrize("preset", [*PRESET_NAMES, "tage:8kb", "tage:64kb"])
+def test_streams_and_storage_are_pinned(pinned_inputs, preset):
+    """A refactor of the predictors must leave every misprediction stream
+    and every storage figure as it was."""
+    storage, digests = PINNED[preset]
+    assert estimate_storage(preset) == storage
+    got = {
+        name: hashlib.sha256(simulate(records, make_predictor(preset)).to_csv().encode()).hexdigest()
+        for name, records in pinned_inputs.items()
+    }
+    assert got == digests
