@@ -15,6 +15,7 @@ from branchlab.helper import (
     serialize_models,
     train_helper,
 )
+from branchlab.predictors import make_predictor, simulate
 from branchlab.synth import Biased, HistoryCorrelated, SyntheticProgramSpec, generate_trace
 from branchlab.traceio import project_branches
 
@@ -48,9 +49,8 @@ def main() -> None:
     print(f"trained pattern table: {len(model.params)} contexts, "
           f"{len(blob)} serialized bytes, provenance {model.provenance}")
 
-    held_out = branches(3)
-    report = evaluate_generalization(deserialize_models(blob), held_out,
-                                     baseline="tage-sc-l:8kb")
+    base_stream = simulate(branches(3), make_predictor("tage-sc-l:8kb"))
+    report = evaluate_generalization(deserialize_models(blob), base_stream)
     row = report.row_for(TARGET)
     print(f"\nheld-out input (seed 3), {row.executions} target executions:")
     print(f"  baseline accuracy   {row.baseline_accuracy:.4f}")

@@ -111,21 +111,17 @@ def accumulate_slice_stats(
     return slices
 
 
-def screen_h2p(stats: SliceStats | Mapping[int, IpStats], criteria: H2PCriteria | None = None) -> set[int]:
+def screen_h2p(stats: Mapping[int, IpStats], criteria: H2PCriteria | None = None) -> set[int]:
     """Hard-to-predict screen: accuracy below max_accuracy AND executions
     and mispredictions at/above their floors, within one slice."""
     criteria = criteria or H2PCriteria()
     criteria.validate()
-    table = stats.per_ip() if isinstance(stats, SliceStats) else stats
-    out = set()
-    for ip, st in table.items():
-        if (
-            st.executions >= criteria.min_executions
-            and st.mispredictions >= criteria.min_mispredictions
-            and st.accuracy < criteria.max_accuracy
-        ):
-            out.add(ip)
-    return out
+    return {
+        ip for ip, st in stats.items()
+        if st.executions >= criteria.min_executions
+        and st.mispredictions >= criteria.min_mispredictions
+        and st.accuracy < criteria.max_accuracy
+    }
 
 
 @dataclass(frozen=True)
@@ -139,7 +135,7 @@ class H2PReport:
 
 def h2p_report(slices: Sequence[SliceStats], criteria: H2PCriteria | None = None) -> H2PReport:
     criteria = criteria or H2PCriteria()
-    per_slice = [screen_h2p(s, criteria) for s in slices]
+    per_slice = [screen_h2p(s.per_ip(), criteria) for s in slices]
     union: set[int] = set()
     occupancy: dict[int, int] = {}
     for flagged in per_slice:
@@ -177,16 +173,14 @@ class HeavyHitterReport:
         return self.entries[:n]
 
 
-def heavy_hitters(totals: Mapping[int, IpStats | int]) -> HeavyHitterReport:
+def heavy_hitters(totals: Mapping[int, IpStats]) -> HeavyHitterReport:
     """Rank ips by misprediction count (desc, ties by ascending ip) with a
     running cumulative fraction. Zero total mispredictions yields an empty
     ranking flagged explicitly."""
-    counts: dict[int, int] = {}
-    for ip, st in totals.items():
-        m = st.mispredictions if isinstance(st, IpStats) else int(st)
+    counts = {ip: st.mispredictions for ip, st in totals.items()}
+    for ip, m in counts.items():
         if m < 0:
             raise ArgumentError(f"negative misprediction count for {ip:#x}")
-        counts[ip] = m
     total = sum(counts.values())
     if total == 0:
         return HeavyHitterReport([], 0, True)

@@ -11,6 +11,9 @@ writes it to the summary file the subparser names (``summary`` default;
 gen and train-helper name none) and prints it as one line under --json.
 The output directory is made only after the inputs have loaded.
 
+Every reading command recognizes a trace's format from its bytes, whatever
+the file is named; only ``gen`` chooses one (``--format`` or the extension).
+
 Every run is reproducible: identical argv and inputs produce byte-identical
 report files. The default output directory is $BRANCHLAB_OUT or the current
 directory.
@@ -26,7 +29,7 @@ from pathlib import Path
 
 from . import charax, depgraph, helper, pipeline, reports, synth, traceio
 from .errors import ArgumentError, BranchLabError, ConfigError, EmptyTargetError
-from .predictors import estimate_storage, load_predictor_config, make_predictor, simulate
+from .predictors import load_predictor_config, make_predictor, simulate
 from .records import BranchKind
 
 _USAGE_ERRORS = (ArgumentError, ConfigError)
@@ -73,12 +76,12 @@ def _out_file(path: str) -> Path:
     return out
 
 
-def _load_branches(path: str, fmt: str | None, require_cond: bool = True):
-    """(branch records, instruction count) of a trace; the format comes
-    from the extension unless given. A trace without branches is a data
-    error in every format, and so is one without COND branches unless
-    ``require_cond`` is off (a training corpus may hold such a trace)."""
-    records, instructions = traceio.load_branch_trace(path, fmt or traceio.format_for_path(path))
+def _load_branches(path: str, require_cond: bool = True):
+    """(branch records, instruction count) of a trace in any format. A
+    trace without branches is a data error, and so is one without COND
+    branches unless ``require_cond`` is off (a training corpus may hold
+    such a trace)."""
+    records, instructions = traceio.load_branch_trace(path)
     if not records:
         raise EmptyTargetError(f"trace {path} holds no branch records")
     if require_cond and not any(r.kind is BranchKind.COND for r in records):
@@ -97,7 +100,7 @@ def _simulate_for(args):
     ``key=value`` pairs sorted by key and joined with ','."""
     if args.config and args.predictor is not None:
         raise ArgumentError("--predictor and --config exclude each other")
-    records, instructions = _load_branches(args.trace, args.format)
+    records, instructions = _load_branches(args.trace)
     if args.config:
         spec = load_predictor_config(args.config)
         args.predictor = ",".join(f"{k}={v}" for k, v in sorted(spec.items()))
@@ -118,8 +121,6 @@ def _cmd_gen(args) -> dict:
     records, manifest = synth.generate_trace(spec, seed=args.seed, length=args.len)
     fmt = args.format or traceio.format_for_path(args.out)
     out = _out_file(args.out)
-    if fmt in traceio.BRANCH_FORMATS:
-        records = traceio.project_branches(records)
     traceio.save_trace(out, records, fmt)
     manifest_path = Path(args.manifest or f"{out}.manifest.json")
     doc = manifest.to_json_dict()
@@ -145,7 +146,7 @@ def _cmd_sim(args) -> dict:
     return {
         "trace": args.trace,
         "predictor": args.predictor,
-        "storage_bytes": estimate_storage(predictor),
+        "storage_bytes": predictor.storage_bytes(),
         "instructions": total,
         "cond_executions": len(stream),
         "mispredictions": stream.mispredictions(),
@@ -201,7 +202,7 @@ def _cmd_rare(args) -> dict:
 
 
 def _cmd_recur(args) -> dict:
-    records, _total = _load_branches(args.trace, args.format)
+    records, _total = _load_branches(args.trace)
     report = charax.recurrence_intervals(records)
     reports.write_recurrence_csv(_out_dir(args) / "recurrence.csv", report)
     return {
@@ -212,7 +213,7 @@ def _cmd_recur(args) -> dict:
 
 
 def _cmd_deps(args) -> dict:
-    instrs = traceio.load_instr_trace(args.trace, args.format)
+    instrs = traceio.load_instr_trace(args.trace)
     dists = [
         depgraph.find_dependency_branches(
             instrs,
@@ -245,7 +246,7 @@ def _cmd_deps(args) -> dict:
 
 
 def _cmd_regvals(args) -> dict:
-    instrs = traceio.load_instr_trace(args.trace, args.format)
+    instrs = traceio.load_instr_trace(args.trace)
     tracked = _reg_list(args.regs)
     hists = [depgraph.regval_snapshots(instrs, ip, tracked=tracked, mask=args.mask)
              for ip in args.ip]
@@ -293,7 +294,7 @@ def _cmd_limit(args) -> dict:
 
 
 def _cmd_sweep(args) -> dict:
-    records, total = _load_branches(args.trace, args.format)
+    records, total = _load_branches(args.trace)
     sweep = pipeline.storage_sweep(
         records,
         budgets=args.budgets,
@@ -315,7 +316,7 @@ def _cmd_train_helper(args) -> dict:
     corpus = helper.TrainingCorpus()
     for item in args.trace:
         path, _, input_id = item.partition("=")
-        records, _ = _load_branches(path, args.format, require_cond=False)
+        records, _ = _load_branches(path, require_cond=False)
         corpus.add(Path(path).name, input_id or Path(path).stem, records)
     models = [
         helper.train_helper(
@@ -337,11 +338,12 @@ def _cmd_train_helper(args) -> dict:
 
 
 def _cmd_eval_helper(args) -> dict:
+    if args.tau is not None:
+        helper.require_tau(args.tau)
     models = helper.load_models_file(args.models)
-    records, _total = _load_branches(args.trace, args.format)
-    report = helper.evaluate_generalization(
-        models, records, baseline=args.baseline, seed=args.seed, tau=args.tau
-    )
+    records, _total = _load_branches(args.trace)
+    base_stream = simulate(records, make_predictor(args.baseline, seed=args.seed))
+    report = helper.evaluate_generalization(models, base_stream, tau=args.tau)
     return {
         "trace": args.trace,
         "models": args.models,
@@ -382,8 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--json", action="store_true", help="print a JSON summary to stdout")
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
-    trace = _flags(("--trace", dict(required=True, help="input trace file")),
-                   ("--format", dict(default=None, help="override format autodetection")))
+    trace = _flags(("--trace", dict(required=True, help="input trace file (any format)")))
     predictor = _flags(
         ("--predictor", dict(default=None, help=f"preset (default {DEFAULT_PREDICTOR})")),
         ("--config", dict(default=None, help="key=value predictor file (excludes --predictor)")))
@@ -458,7 +459,6 @@ def build_parser() -> argparse.ArgumentParser:
                 [ip])
     p.add_argument("--trace", required=True, action="append",
                    help="training trace, PATH or PATH=INPUT_ID (repeatable)")
-    p.add_argument("--format", default=None)
     p.add_argument("--kind", choices=(helper.PATTERN_TABLE, helper.PERCEPTRON),
                    default=helper.PATTERN_TABLE)
     p.add_argument("--history", type=int, default=16, help="history length h")

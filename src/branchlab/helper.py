@@ -54,6 +54,12 @@ DEFAULT_EPOCHS = 20
 _WEIGHT_MIN, _WEIGHT_MAX = -32768, 32767   # i16 storage bound
 
 
+def require_tau(tau: float) -> None:
+    """An ArgumentError unless the confidence threshold lies in [0, 1]."""
+    if not 0.0 <= tau <= 1.0:
+        raise ArgumentError(f"confidence threshold must lie in [0, 1], got {tau}")
+
+
 @dataclass(frozen=True)
 class HelperModel:
     """Frozen per-branch model. params:
@@ -72,8 +78,7 @@ class HelperModel:
             raise ArgumentError(f"unknown helper kind {self.kind!r}")
         if not 1 <= self.h <= MAX_HISTORY:
             raise ArgumentError(f"history length must be in [1, {MAX_HISTORY}]")
-        if not 0.0 <= self.tau <= 1.0:
-            raise ArgumentError("confidence threshold must lie in [0, 1]")
+        require_tau(self.tau)
 
     def predict(self, history: int) -> tuple[bool, float]:
         """(direction, confidence in [0, 1]) for an h-bit history."""
@@ -150,8 +155,7 @@ def train_helper(
         raise ArgumentError(f"history length must be in [1, {MAX_HISTORY}]")
     if epochs < 1:
         raise ArgumentError(f"epochs must be at least 1, got {epochs}")
-    if not 0.0 <= tau <= 1.0:
-        raise ArgumentError(f"confidence threshold must lie in [0, 1], got {tau}")
+    require_tau(tau)
     samples = corpus.samples(target_ip, h)
     if len(samples) < MIN_TRAINING_SAMPLES:
         raise TrainingError(
@@ -421,6 +425,8 @@ def apply_helpers(
     branch, and its history is the actual outcomes of the earlier COND
     branches, so both follow from the baseline's stream alone; with zero
     helpers the stream comes back unchanged."""
+    if tau is not None:
+        require_tau(tau)
     helpers = {m.ip: m for m in models}
     if len(helpers) != len(models):
         raise ConfigError("duplicate helper ips")
@@ -472,23 +478,15 @@ class GeneralizationReport:
 
 def evaluate_generalization(
     models: Sequence[HelperModel],
-    records: Sequence[BranchRecord],
-    baseline="tage-sc-l:8kb",
-    seed: int = 0,
+    base_stream: MispredictionStream,
     tau: float | None = None,
 ) -> GeneralizationReport:
-    """Simulate the baseline once on a held-out trace, apply the helpers to
-    its stream, and report per-target and overall accuracy deltas with each
-    helper's telemetry. A model ip that never executes is reported with zero
+    """Apply the helpers to a baseline's stream on a held-out trace, and
+    report per-target and overall accuracy deltas with each helper's
+    telemetry. A model ip that never executes is reported with zero
     executions, not an error."""
     from .charax import per_ip_totals
-    from .predictors import make_predictor, simulate
 
-    if isinstance(baseline, (str, dict)):
-        predictor = make_predictor(baseline, seed=seed)
-    else:
-        predictor = baseline()   # factory for pre-built configs
-    base_stream = simulate(records, predictor)
     if not base_stream:
         raise EmptyTargetError("trace holds no COND branches")
     comp_stream, telemetry = apply_helpers(base_stream, models, tau)

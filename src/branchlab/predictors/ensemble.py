@@ -94,10 +94,8 @@ def ensemble_config(budget: int | str = 8192) -> EnsembleConfig:
 class TageSCL(ConditionalPredictor):
     name = "tage-sc-l"
 
-    def __init__(self, config: EnsembleConfig | int | str | None = None, seed: int = 0):
-        if config is None or isinstance(config, (int, str)):
-            config = ensemble_config(8192 if config is None else config)
-        self.config = config
+    def __init__(self, config: EnsembleConfig | None = None, seed: int = 0):
+        self.config = config = config or ensemble_config(8192)
         self.tage = Tage(config.tage, seed=seed)
         self.sc = StatisticalCorrector(config.corrector)
         self.loop = LoopPredictor(config.loop_entries)

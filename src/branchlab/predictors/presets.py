@@ -134,11 +134,7 @@ def load_predictor_config(path: str | Path) -> dict[str, str]:
     return mapping
 
 
-def estimate_storage(obj) -> int:
-    """Modeled table storage in bytes for a config, preset string, config
-    mapping, or live predictor."""
-    if isinstance(obj, (str, dict)):
-        return make_predictor(obj).storage_bytes()
-    if hasattr(obj, "storage_bytes"):
-        return obj.storage_bytes()
-    raise ConfigError(f"cannot estimate storage for {type(obj).__name__}")
+def estimate_storage(spec: str | dict) -> int:
+    """Modeled table storage in bytes of the predictor a preset string or
+    config mapping names."""
+    return make_predictor(spec).storage_bytes()

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .charax import (
     H2PReport,
@@ -17,6 +17,7 @@ from .charax import (
     RareBinReport,
     RecurrenceReport,
     SliceStats,
+    decade_bin,
 )
 from .depgraph import DependencyDistribution, RegValueHistogram
 from .pipeline import OpportunityCurve, StorageSweepResult
@@ -85,13 +86,10 @@ def write_rare_bins_csv(path, report: RareBinReport) -> None:
     write_csv(path, RARE_HEADER, rows)
 
 
-def write_recurrence_csv(path, report: RecurrenceReport | Mapping) -> None:
-    from .charax import decade_bin
-
-    stats = report.per_ip if isinstance(report, RecurrenceReport) else report
+def write_recurrence_csv(path, report: RecurrenceReport) -> None:
     rows = []
-    for ip in sorted(stats):
-        st = stats[ip]
+    for ip in sorted(report.per_ip):
+        st = report.per_ip[ip]
         if st.median_interval is None:
             rows.append((fmt_ip(ip), st.executions, None, None))
         else:

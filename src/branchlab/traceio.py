@@ -15,6 +15,9 @@ Four on-disk formats, two per trace level:
   u8 count + count*u64 mem read, u8 count + count*u64 mem written.
   Set cardinalities above 255 are unrepresentable and rejected at write time.
 
+Readers recognize the format from the stream (``detect_format``): each
+format's magic or header names it, so a file's name matters only to
+writers (``save_trace``), which choose the format from the extension.
 Readers verify magic/header (FormatError), strictly increasing seq, declared
 counts, and per-record invariants (CorruptTrace).
 
@@ -62,6 +65,7 @@ _EXT_FORMAT = {
 
 
 def format_for_path(path: str | Path) -> str:
+    """The format a writer gives a file named ``path``."""
     ext = Path(path).suffix.lower()
     try:
         return _EXT_FORMAT[ext]
@@ -107,13 +111,13 @@ def write_branch_trace(records: Iterable[BranchRecord], fmt: str = "bt1-text") -
     raise ArgumentError(f"unknown branch trace format {fmt!r}")
 
 
-def read_branch_trace(data: bytes, fmt: str | None = None) -> list[BranchRecord]:
-    fmt = fmt or detect_format(data)
+def read_branch_trace(data: bytes) -> list[BranchRecord]:
+    fmt = detect_format(data)
     if fmt == "bt1-text":
         return _read_bt1_text(data)
     if fmt == "bt1-bin":
         return _read_bt1_bin(data)
-    raise ArgumentError(f"unknown branch trace format {fmt!r}")
+    raise ArgumentError(f"{fmt} holds instructions; load_branch_trace projects their branches")
 
 
 def _read_bt1_text(data: bytes) -> list[BranchRecord]:
@@ -194,13 +198,13 @@ def write_instr_trace(records: Iterable[InstructionRecord], fmt: str = "it1-json
     raise ArgumentError(f"unknown instruction trace format {fmt!r}")
 
 
-def read_instr_trace(data: bytes, fmt: str | None = None) -> list[InstructionRecord]:
-    fmt = fmt or detect_format(data)
+def read_instr_trace(data: bytes) -> list[InstructionRecord]:
+    fmt = detect_format(data)
     if fmt == "it1-jsonl":
         return _read_it1_jsonl(data)
     if fmt == "it1-bin":
         return _read_it1_bin(data)
-    raise ArgumentError(f"unknown instruction trace format {fmt!r}")
+    raise ArgumentError(f"{fmt} is a branch-level trace; instruction records unavailable")
 
 
 def _instr_to_obj(r: InstructionRecord) -> dict:
@@ -449,41 +453,42 @@ def project_branches(instrs: Iterable[InstructionRecord]) -> list[BranchRecord]:
 # ---------------------------------------------------------------- paths
 
 def save_trace(path: str | Path, records: list, fmt: str | None = None) -> None:
-    """Write a branch or instruction trace; format inferred from extension
-    unless given. Record level is inferred from the record type."""
+    """Write a trace in ``fmt``, by default the one the extension names.
+    Instruction records written to a BT1 format are projected to their
+    branches; branch records cannot make an IT1 trace."""
     path = Path(path)
     fmt = fmt or format_for_path(path)
+    instrs = bool(records) and isinstance(records[0], InstructionRecord)
     if fmt in BRANCH_FORMATS:
-        data = write_branch_trace(records, fmt)
+        data = write_branch_trace(project_branches(records) if instrs else records, fmt)
     elif fmt in INSTR_FORMATS:
+        if records and not instrs:
+            raise ArgumentError(f"{fmt} holds instruction records; got branch records for {path}")
         data = write_instr_trace(records, fmt)
     else:
         raise ArgumentError(f"unknown trace format {fmt!r}")
     path.write_bytes(data)
 
 
-def load_branch_trace(
-    path: str | Path, fmt: str | None = None
-) -> tuple[list[BranchRecord], int]:
+def load_branch_trace(path: str | Path) -> tuple[list[BranchRecord], int]:
     """(branch records, instruction count) of any trace file.
 
     A BT1 trace does not record its instruction count, so it is the last
     seq + 1 (0 when empty). An it1-jsonl trace is read whole and projected;
     an it1-bin trace is walked for its branches only."""
     data = Path(path).read_bytes()
-    fmt = fmt or detect_format(data)
-    if fmt in BRANCH_FORMATS:
-        records = read_branch_trace(data, fmt)
-        return records, (records[-1].seq + 1 if records else 0)
+    fmt = detect_format(data)
     if fmt == "it1-bin":
         return _read_it1_bin_branches(data)
-    instrs = read_instr_trace(data, fmt)
-    return project_branches(instrs), len(instrs)
+    if fmt == "it1-jsonl":
+        instrs = read_instr_trace(data)
+        return project_branches(instrs), len(instrs)
+    records = read_branch_trace(data)
+    return records, (records[-1].seq + 1 if records else 0)
 
 
-def load_instr_trace(path: str | Path, fmt: str | None = None) -> list[InstructionRecord]:
+def load_instr_trace(path: str | Path) -> list[InstructionRecord]:
     data = Path(path).read_bytes()
-    fmt = fmt or detect_format(data)
-    if fmt not in INSTR_FORMATS:
+    if detect_format(data) in BRANCH_FORMATS:
         raise ArgumentError(f"{path} is a branch-level trace; instruction records unavailable")
-    return read_instr_trace(data, fmt)
+    return read_instr_trace(data)

@@ -429,7 +429,8 @@ def test_criterion_11_helper_generalizes_to_held_out_input():
     for seed in (1, 2):
         corpus.add(f"train-{seed}", f"input-{seed}", _helper_branches(seed))
     model = train_helper(corpus, H2P_IP, kind="pattern-table", h=12)
-    report = evaluate_generalization([model], _helper_branches(3), baseline="tage-sc-l:8kb")
+    base = simulate(_helper_branches(3), make_predictor("tage-sc-l:8kb"))
+    report = evaluate_generalization([model], base)
     row = report.row_for(H2P_IP)
     assert row.executions > 1000
     assert row.delta >= 0.10, f"delta {row.delta:+.4f}"
@@ -686,5 +687,5 @@ def test_criterion_13_subcommand_reports_deterministic(cli_ws, tmp_path):
 
 def test_criterion_14_preset_storage_estimates():
     for name, target in (("tage-sc-l:8kb", 8192), ("tage-sc-l:64kb", 65536)):
-        estimate = estimate_storage(make_predictor(name))
+        estimate = estimate_storage(name)
         assert abs(estimate - target) / target <= 0.10, f"{name}: {estimate}"

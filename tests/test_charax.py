@@ -165,9 +165,14 @@ class TestH2PReport:
         assert rep.avg_mis_fraction == rep.mis_fraction_per_slice[0]
 
 
+def mispredicted(counts):
+    """IpStats per ip, with the given misprediction counts."""
+    return {ip: IpStats(max(m, 0) + 100, m) for ip, m in counts.items()}
+
+
 class TestHeavyHitters:
     def test_ranking_with_tie_break(self):
-        rep = heavy_hitters({0x30: 5, 0x10: 9, 0x20: 5})
+        rep = heavy_hitters(mispredicted({0x30: 5, 0x10: 9, 0x20: 5}))
         assert [(h.rank, h.ip, h.mispredictions) for h in rep.entries] == [
             (1, 0x10, 9), (2, 0x20, 5), (3, 0x30, 5),
         ]
@@ -179,7 +184,7 @@ class TestHeavyHitters:
 
     @given(st.dictionaries(st.integers(0, 1000), st.integers(0, 500), min_size=1, max_size=50))
     def test_cumulative_fraction_monotone_to_one(self, counts):
-        rep = heavy_hitters(counts)
+        rep = heavy_hitters(mispredicted(counts))
         if rep.empty:
             assert sum(counts.values()) == 0
             return
@@ -189,12 +194,12 @@ class TestHeavyHitters:
         assert [h.rank for h in rep.entries] == list(range(1, len(fractions) + 1))
 
     def test_zero_mispredictions_is_empty(self):
-        rep = heavy_hitters({0x10: 0, 0x20: 0})
+        rep = heavy_hitters(mispredicted({0x10: 0, 0x20: 0}))
         assert rep.empty and rep.entries == []
 
     def test_negative_rejected(self):
         with pytest.raises(ArgumentError):
-            heavy_hitters({0x10: -1})
+            heavy_hitters(mispredicted({0x10: -1}))
 
 
 class TestCrossInput:

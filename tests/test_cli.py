@@ -5,11 +5,13 @@ import json
 import random
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
 from branchlab import synth, traceio
 from branchlab.cli import build_parser, main
+from branchlab.helper import deserialize_models, serialize_models
 from branchlab.predictors import estimate_storage
 from branchlab.records import BranchKind, BranchRecord
 
@@ -120,7 +122,7 @@ class TestGen:
         code, *_ = run(capsys, "gen", "--spec", str(ws["spec"]), "--len", "8000",
                        "--out", str(out), "--format", "bt1-bin")
         assert code == 0
-        records, instructions = traceio.load_branch_trace(out, "bt1-bin")
+        records, instructions = traceio.load_branch_trace(out)
         assert records
         # a BT1 trace's instruction count is its last seq + 1
         assert instructions == records[-1].seq + 1 <= 8000
@@ -497,6 +499,11 @@ BEFORE_SIMULATION = {
     "limit-scales-empty": (["limit", *_SIMULATED, "--scales", ","], "scale list is empty"),
     "sweep-scales-0": (["sweep", *_SIMULATED, "--scales", "0"],
                        "width, penalty, and scale must all be positive"),
+    # the models file does not exist: the threshold is checked before any load
+    "eval-tau-above-1": (["eval-helper", *_SIMULATED, "--models", "{tmp}/m.hm1", "--tau", "1.5"],
+                         "confidence threshold must lie in [0, 1], got 1.5"),
+    "eval-tau-below-0": (["eval-helper", *_SIMULATED, "--models", "{tmp}/m.hm1", "--tau=-3"],
+                         "confidence threshold must lie in [0, 1], got -3.0"),
 }
 USAGE_ERRORS.update({case: ({}, *row) for case, row in BEFORE_SIMULATION.items()})
 
@@ -627,6 +634,63 @@ class TestSummaryPath:
                 (tmp_path / "out" / "mispredictions.csv").read_bytes()
 
 
+# every command that reads a trace, with the flags that keep its run short
+READING_COMMANDS = {
+    **{name: row[0] for name, row in SUMMARY_FILES.items()},
+    "train-helper": ["--ip", hex(DD_IP), "--history", "4"],
+}
+
+
+def _reading_argv(command, trace, out, models):
+    """argv of one reading command on ``trace``, its outputs under ``out``."""
+    if command == "train-helper":   # the trace twice, as two inputs, for enough samples
+        return [command, "--trace", f"{trace}=a", "--trace", f"{trace}=b",
+                *READING_COMMANDS[command], "--out", str(out / "m.hm1")]
+    argv = [command, "--trace", str(trace), *READING_COMMANDS[command], "--out", str(out)]
+    return [*argv, "--models", str(models)] if command == "eval-helper" else argv
+
+
+def _normalized_outputs(out, trace):
+    """The files under ``out``, with the trace's path replaced by a
+    placeholder and a model file's provenance, which names the trace, dropped."""
+    files = {}
+    for name, data in read_all(out).items():
+        if name.endswith(".hm1"):
+            models = deserialize_models(data)
+            assert all(m.provenance == ((trace.name, "a"), (trace.name, "b")) for m in models)
+            data = serialize_models([replace(m, provenance=()) for m in models])
+        files[name] = data.replace(str(trace).encode(), b"<trace>")
+    return files
+
+
+@pytest.mark.parametrize("command", list(READING_COMMANDS))
+def test_format_comes_from_the_bytes_not_the_name(command, ws, helper_ws, tmp_path, capsys):
+    """An it1-bin trace named t.dat or t.bt1b reads as it does named t.it1b."""
+    data = ws["it1b"].read_bytes()
+    outputs = {}
+    for name in ("t.it1b", "t.dat", "t.bt1b"):
+        trace = tmp_path / name
+        trace.write_bytes(data)
+        out = tmp_path / f"out-{trace.suffix[1:]}"
+        code, _, err = run(capsys, *_reading_argv(command, trace, out, helper_ws["models"]))
+        assert (code, err) == (0, ""), name
+        outputs[name] = _normalized_outputs(out, trace)
+    assert outputs["t.dat"] == outputs["t.it1b"]
+    assert outputs["t.bt1b"] == outputs["t.it1b"]
+
+
+@pytest.mark.parametrize("command", list(READING_COMMANDS))
+def test_unrecognized_stream_is_one_line_data_error(command, helper_ws, tmp_path, capsys):
+    for name in ("t.dat", "t.bt1", "t.bt1b", "t.it1", "t.it1b"):
+        trace = tmp_path / name
+        trace.write_bytes(b"\x00\x01 not a trace stream")
+        out = tmp_path / "out"
+        code, stdout, err = run(capsys, *_reading_argv(command, trace, out, helper_ws["models"]))
+        assert (code, stdout) == (1, ""), name
+        assert err == "branchlab: error: unrecognized trace stream\n", name
+        assert not out.exists()
+
+
 class TestParser:
     def test_unknown_command_is_usage_error(self, capsys):
         assert main(["frobnicate"]) == 2
@@ -647,7 +711,7 @@ class TestParser:
         assert json.loads(proc.stdout)["command"] == "sim"
 
     def test_flag_surface(self):
-        trace, predictor, seed, out = "--trace --format", "--predictor --config", "--seed", "--out"
+        trace, predictor, seed, out = "--trace", "--predictor --config", "--seed", "--out"
         machine = "--scales --width --penalty --scaled-penalty"
         expected = {
             "gen": f"--spec {seed} --len --out --format --manifest",
@@ -660,7 +724,7 @@ class TestParser:
             "regvals": f"{trace} --ip --regs --mask {out}",
             "limit": f"{trace} {predictor} {seed} {out} {machine} --cutoffs --perfect-ips",
             "sweep": f"{trace} {seed} --budgets {machine} {out}",
-            "train-helper": "--trace --format --ip --kind --history --tau --epochs --out",
+            "train-helper": "--trace --ip --kind --history --tau --epochs --out",
             "eval-helper": f"--models {trace} --baseline {seed} --tau {out}",
         }
         parser = build_parser()

@@ -14,6 +14,7 @@ from branchlab.errors import (
     ArgumentError,
     ConfigError,
     CorruptModel,
+    EmptyTargetError,
     FormatError,
     TrainingError,
 )
@@ -34,7 +35,7 @@ from branchlab.helper import (
     serialize_models,
     train_helper,
 )
-from branchlab.predictors import SimRecord, make_predictor, simulate
+from branchlab.predictors import MispredictionStream, SimRecord, make_predictor, simulate
 from branchlab.records import BranchKind, BranchRecord
 
 A_IP = 0x1000
@@ -514,8 +515,9 @@ def test_apply_helpers_matches_brute_force_history(records, models, tau, baselin
        st.sampled_from(("bimodal:4k", "gshare:16k")))
 def test_generalization_telemetry_matches_brute_force(records, models, tau, baseline):
     assume(any(r.kind is BranchKind.COND for r in records))
-    report = evaluate_generalization(models, records, baseline=baseline, tau=tau)
-    _, want = overlay_oracle(records, simulate(records, make_predictor(baseline)), models, tau)
+    base = simulate(records, make_predictor(baseline))
+    report = evaluate_generalization(models, base, tau=tau)
+    _, want = overlay_oracle(records, base, models, tau)
     assert {
         row.ip: (row.queries, row.overrides, row.override_correct) for row in report.rows
     } == want
@@ -528,9 +530,9 @@ class TestGeneralization:
         corpus.add("t0", "in-a", records)
         model = train_helper(corpus, T_IP, kind=PATTERN_TABLE, h=1)
         ghost = HelperModel(0x9999, PATTERN_TABLE, 1, 0.5, {0: (1, 0)})
+        held = position_one_trace(seed=4, n=700)
         report = evaluate_generalization(
-            [model, ghost], position_one_trace(seed=4, n=700),
-            baseline="bimodal:4k",
+            [model, ghost], simulate(held, make_predictor("bimodal:4k"))
         )
         row = report.row_for(T_IP)
         assert row.executions == 700
@@ -544,10 +546,29 @@ class TestGeneralization:
         with pytest.raises(KeyError):
             report.row_for(0x1234)
 
-    def test_baseline_factory(self):
-        records = position_one_trace(seed=5, n=400)
-        report = evaluate_generalization(
-            [], records, baseline=lambda: make_predictor("bimodal:4k")
-        )
+    def test_no_models_change_nothing(self):
+        base = simulate(position_one_trace(seed=5, n=400), make_predictor("bimodal:4k"))
+        report = evaluate_generalization([], base)
         assert report.rows == ()
-        assert 0.0 <= report.overall_baseline <= 1.0
+        assert report.overall_baseline == report.overall_composite == base.accuracy()
+
+    def test_empty_stream_is_empty_target(self):
+        with pytest.raises(EmptyTargetError):
+            evaluate_generalization([], MispredictionStream([]))
+
+
+@pytest.mark.parametrize("tau", [-3, -0.25, 1.5, float("nan")])
+def test_one_threshold_rule(tau):
+    message = f"confidence threshold must lie in [0, 1], got {tau}"
+    with pytest.raises(ArgumentError) as info:
+        helper.require_tau(tau)
+    assert str(info.value) == message
+    with pytest.raises(ArgumentError) as info:
+        HelperModel(A_IP, PATTERN_TABLE, 1, tau, {})
+    assert str(info.value) == message
+    base = MispredictionStream([SimRecord(0, A_IP, True, True, "base")])
+    with pytest.raises(ArgumentError) as info:
+        apply_helpers(base, [], tau)
+    assert str(info.value) == message
+    for ok in (0, 0.5, 1):
+        helper.require_tau(ok)

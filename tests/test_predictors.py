@@ -439,12 +439,10 @@ class TestPresetsAndConfig:
             make_predictor(mapping)
 
     def test_estimate_storage_inputs(self):
-        cfg = ensemble_config(8192)
-        assert estimate_storage(cfg) == cfg.storage_bytes()
-        assert estimate_storage(TageSCL(cfg)) == cfg.storage_bytes()
+        assert estimate_storage("tage-sc-l:8kb") == ensemble_config(8192).storage_bytes()
         assert estimate_storage({"predictor": "bimodal", "entries": 4096}) == 1024
         with pytest.raises(ConfigError):
-            estimate_storage(object())
+            estimate_storage("oracle:1")
 
 
 class TestSimulate:

@@ -142,12 +142,6 @@ def test_recurrence_csv_blank_cells_for_singletons(tmp_path):
     )
 
 
-def test_recurrence_csv_accepts_plain_mapping(tmp_path):
-    path = tmp_path / "recur.csv"
-    write_recurrence_csv(path, {0x10: RecurrenceStats(2, 7, (1,) + (0,) * 8)})
-    assert "0x10,2,7,0\n" in read(path)
-
-
 def test_deps_csv_layouts(tmp_path):
     dist = DependencyDistribution(
         target_ip=0x400100, window=5000, executions=10,

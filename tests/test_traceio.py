@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from branchlab.errors import ArgumentError, BranchLabError, CorruptTrace, FormatError
 from branchlab.records import BranchKind, BranchRecord, InstructionRecord
 from branchlab.traceio import (
+    _read_it1_bin,
     _read_it1_bin_branches,
     detect_format,
     format_for_path,
@@ -69,7 +70,7 @@ class TestBranchRoundtrip:
     @given(branch_traces(), st.sampled_from(["bt1-text", "bt1-bin"]))
     def test_roundtrip(self, records, fmt):
         data = write_branch_trace(records, fmt)
-        assert read_branch_trace(data, fmt) == records
+        assert read_branch_trace(data) == records
 
     @given(branch_traces(), st.sampled_from(["bt1-text", "bt1-bin"]))
     def test_writer_is_canonical(self, records, fmt):
@@ -96,7 +97,7 @@ class TestInstrRoundtrip:
     @given(instr_traces(), st.sampled_from(["it1-jsonl", "it1-bin"]))
     def test_roundtrip(self, records, fmt):
         data = write_instr_trace(records, fmt)
-        assert read_instr_trace(data, fmt) == records
+        assert read_instr_trace(data) == records
 
     @given(instr_traces(), st.sampled_from(["it1-jsonl", "it1-bin"]))
     def test_writer_is_canonical(self, records, fmt):
@@ -124,7 +125,7 @@ def _outcome(read, data):
 def _full_read(data):
     """The oracle for the branch-only reader: decode every instruction,
     then project."""
-    instrs = read_instr_trace(data, "it1-bin")
+    instrs = _read_it1_bin(data)
     return project_branches(instrs), len(instrs)
 
 
@@ -224,9 +225,9 @@ class TestStreamValidation:
 
     def test_bad_magic_is_format_error(self):
         with pytest.raises(FormatError):
-            read_branch_trace(b"XXXX" + b"\0" * 16, "bt1-bin")
+            read_branch_trace(b"XXXX" + b"\0" * 16)
         with pytest.raises(FormatError):
-            read_instr_trace(b"XXXX" + b"\0" * 16, "it1-bin")
+            read_instr_trace(b"XXXX" + b"\0" * 16)
         with pytest.raises(FormatError):
             _read_it1_bin_branches(b"XXXX" + b"\0" * 16)
 
@@ -236,12 +237,12 @@ class TestStreamValidation:
             "bt1-bin",
         )
         with pytest.raises(CorruptTrace):
-            read_branch_trace(data[:-3], "bt1-bin")
+            read_branch_trace(data[:-3])
 
     def test_trailing_bytes_rejected(self):
         data = write_instr_trace([InstructionRecord(seq=0, ip=0x10)], "it1-bin")
         with pytest.raises(CorruptTrace):
-            read_instr_trace(data + b"\0", "it1-bin")
+            read_instr_trace(data + b"\0")
 
     def test_bad_kind_code_rejected(self):
         data = bytearray(
@@ -251,26 +252,26 @@ class TestStreamValidation:
         )
         data[4 + 8 + 24] = 99  # kind byte of record 0
         with pytest.raises(CorruptTrace):
-            read_branch_trace(bytes(data), "bt1-bin")
+            read_branch_trace(bytes(data))
 
     def test_non_monotone_seq_rejected(self):
         text = b"BT1\n5,0x10,COND,0x20,1\n5,0x10,COND,0x20,0\n"
         with pytest.raises(CorruptTrace):
-            read_branch_trace(text, "bt1-text")
+            read_branch_trace(text)
 
     def test_text_field_count_enforced(self):
         with pytest.raises(CorruptTrace):
-            read_branch_trace(b"BT1\n1,0x10,COND,0x20\n", "bt1-text")
+            read_branch_trace(b"BT1\n1,0x10,COND,0x20\n")
 
     def test_jsonl_header_count_mismatch_rejected(self):
         data = write_instr_trace([InstructionRecord(seq=0, ip=0x10)], "it1-jsonl")
         head, body, _ = data.split(b"\n")
         with pytest.raises(CorruptTrace):
-            read_instr_trace(head + b"\n", "it1-jsonl")
+            read_instr_trace(head + b"\n")
 
     def test_jsonl_missing_header_rejected(self):
         with pytest.raises(FormatError):
-            read_instr_trace(b'{"seq":0,"ip":"0x10","is_branch":false}\n', "it1-jsonl")
+            read_instr_trace(b'{"seq":0,"ip":"0x10","is_branch":false}\n')
 
     def test_unknown_stream_rejected(self):
         with pytest.raises(FormatError):
@@ -311,3 +312,57 @@ class TestPaths:
         save_trace(p, [BranchRecord(seq=0, ip=0x10, kind=BranchKind.UNCOND, target=0x20)])
         with pytest.raises(ArgumentError):
             load_instr_trace(p)
+
+    def test_instruction_records_to_bt1_are_projected(self, tmp_path):
+        records = [
+            InstructionRecord(seq=0, ip=0x10, regs_written=((1, 5),)),
+            InstructionRecord(seq=1, ip=0x14, is_branch=True, kind=BranchKind.COND,
+                              target=0x40, taken=True, regs_read=frozenset((1,))),
+            InstructionRecord(seq=2, ip=0x18, is_branch=True, kind=BranchKind.CALL,
+                              target=0x80, taken=True),
+        ]
+        for ext in (".bt1", ".bt1b"):
+            got, want = tmp_path / f"got{ext}", tmp_path / f"want{ext}"
+            save_trace(got, records)
+            save_trace(want, project_branches(records))
+            assert got.read_bytes() == want.read_bytes()
+            assert load_branch_trace(got) == (project_branches(records), 3)
+
+    @pytest.mark.parametrize("name", ["t.it1", "t.it1b"])
+    def test_branch_records_to_it1_rejected(self, tmp_path, name):
+        records = [BranchRecord(seq=0, ip=0x10, kind=BranchKind.UNCOND, target=0x20)]
+        with pytest.raises(ArgumentError) as info:
+            save_trace(tmp_path / name, records)
+        assert "\n" not in str(info.value) and "branch records" in str(info.value)
+        assert not (tmp_path / name).exists()
+
+    def test_readers_take_the_format_from_the_stream(self, tmp_path):
+        records = [
+            InstructionRecord(seq=0, ip=0x10, regs_written=((1, 5),)),
+            InstructionRecord(seq=1, ip=0x14, is_branch=True, kind=BranchKind.COND,
+                              target=0x40, taken=False, regs_read=frozenset((1,))),
+        ]
+        data = write_instr_trace(records, "it1-bin")
+        for name in ("t.dat", "t.bt1b", "t.bt1", "t.it1"):
+            (tmp_path / name).write_bytes(data)
+            assert load_branch_trace(tmp_path / name) == ([records[1].to_branch()], 2)
+            assert load_instr_trace(tmp_path / name) == records
+
+    def test_reader_of_the_other_level_rejected(self):
+        branches = write_branch_trace(
+            [BranchRecord(seq=0, ip=0x10, kind=BranchKind.UNCOND, target=0x20)], "bt1-bin")
+        with pytest.raises(ArgumentError):
+            read_instr_trace(branches)
+        with pytest.raises(ArgumentError):
+            read_branch_trace(write_instr_trace([InstructionRecord(seq=0, ip=0x10)], "it1-bin"))
+
+    @pytest.mark.parametrize("name", ["t.dat", "t.bt1", "t.bt1b", "t.it1", "t.it1b"])
+    def test_unrecognized_stream_is_format_error(self, tmp_path, name):
+        path = tmp_path / name
+        path.write_bytes(b"\x01\x02\x03\x04 not a trace")
+        for read in (read_branch_trace, read_instr_trace):
+            with pytest.raises(FormatError):
+                read(path.read_bytes())
+        for load in (load_branch_trace, load_instr_trace):
+            with pytest.raises(FormatError):
+                load(path)
