@@ -11,6 +11,10 @@ writes it to the summary file the subparser names (``summary`` default;
 gen and train-helper name none) and prints it as one line under --json.
 The output directory is made only after the inputs have loaded.
 
+Each command imports only the layers it runs: the generator loads in
+``gen`` and the predictors (with numpy) where a predictor is built, so
+``recur``, ``deps``, ``regvals`` and ``train-helper`` start without them.
+
 Every reading command recognizes a trace's format from its bytes, whatever
 the file is named; only ``gen`` chooses one (``--format`` or the extension).
 
@@ -27,9 +31,9 @@ import os
 import sys
 from pathlib import Path
 
-from . import charax, depgraph, helper, pipeline, reports, synth, traceio
+from . import charax, depgraph, helper, pipeline, reports, traceio
 from .errors import ArgumentError, BranchLabError, ConfigError, EmptyTargetError
-from .predictors import load_predictor_config, make_predictor, simulate
+from .predictors import simulate
 from .records import BranchKind
 
 _USAGE_ERRORS = (ArgumentError, ConfigError)
@@ -98,6 +102,8 @@ def _simulate_for(args):
     predictor that --predictor or --config names. ``args.predictor``
     becomes the summary's label of it: the preset string, or the config's
     ``key=value`` pairs sorted by key and joined with ','."""
+    from .predictors import load_predictor_config, make_predictor
+
     if args.config and args.predictor is not None:
         raise ArgumentError("--predictor and --config exclude each other")
     records, instructions = _load_branches(args.trace)
@@ -113,6 +119,8 @@ def _simulate_for(args):
 # --- subcommand handlers: each returns its summary ---------------------
 
 def _cmd_gen(args) -> dict:
+    from . import synth
+
     try:
         doc = json.loads(Path(args.spec).read_text(encoding="utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
@@ -318,12 +326,9 @@ def _cmd_train_helper(args) -> dict:
         path, _, input_id = item.partition("=")
         records, _ = _load_branches(path, require_cond=False)
         corpus.add(Path(path).name, input_id or Path(path).stem, records)
-    models = [
-        helper.train_helper(
-            corpus, ip, kind=args.kind, h=args.history, tau=args.tau, epochs=args.epochs
-        )
-        for ip in args.ip
-    ]
+    models = helper.train_helpers(
+        corpus, args.ip, kind=args.kind, h=args.history, tau=args.tau, epochs=args.epochs
+    )
     out = _out_file(args.out)
     helper.save_models_file(out, models)
     return {
@@ -338,6 +343,8 @@ def _cmd_train_helper(args) -> dict:
 
 
 def _cmd_eval_helper(args) -> dict:
+    from .predictors import make_predictor
+
     if args.tau is not None:
         helper.require_tau(args.tau)
     models = helper.load_models_file(args.models)

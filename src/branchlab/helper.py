@@ -123,20 +123,45 @@ class TrainingCorpus:
     def input_ids(self) -> set[str]:
         return {t.input_id for t in self.traces}
 
-    def samples(self, target_ip: int, h: int) -> list[tuple[int, bool]]:
-        """All (h-bit global history, outcome) pairs at the target ip's COND
-        executions, in trace order. History resets between traces."""
+    def samples(self, target_ips: Iterable[int], h: int) -> dict[int, list[tuple[int, bool]]]:
+        """Per target ip, all (h-bit global history, outcome) pairs at its
+        COND executions, in trace order, from one walk of the corpus.
+        History resets between traces."""
         mask = (1 << h) - 1
-        out: list[tuple[int, bool]] = []
+        out: dict[int, list[tuple[int, bool]]] = {ip: [] for ip in target_ips}
         for trace in self.traces:
             hist = 0
             for rec in trace.records:
                 if rec.kind is not BranchKind.COND:
                     continue
-                if rec.ip == target_ip:
-                    out.append((hist & mask, rec.taken))
+                at_target = out.get(rec.ip)
+                if at_target is not None:
+                    at_target.append((hist & mask, rec.taken))
                 hist = ((hist << 1) | int(rec.taken)) & mask
         return out
+
+
+def train_helpers(
+    corpus: TrainingCorpus,
+    target_ips: Sequence[int],
+    kind: str = PATTERN_TABLE,
+    h: int = 16,
+    tau: float = DEFAULT_TAU,
+    epochs: int = DEFAULT_EPOCHS,
+) -> list[HelperModel]:
+    """Fit one helper per target ip, in order, from one walk of the corpus.
+    Deterministic for a fixed corpus order; each target requires at least
+    MIN_TRAINING_SAMPLES executions. Arguments are checked before the walk."""
+    if kind not in _KIND_CODES:
+        raise ArgumentError(f"unknown helper kind {kind!r}")
+    if not 1 <= h <= MAX_HISTORY:
+        raise ArgumentError(f"history length must be in [1, {MAX_HISTORY}]")
+    if epochs < 1:
+        raise ArgumentError(f"epochs must be at least 1, got {epochs}")
+    require_tau(tau)
+    walked = corpus.samples(target_ips, h)
+    provenance = corpus.provenance()
+    return [_fit_helper(walked[ip], ip, kind, h, tau, epochs, provenance) for ip in target_ips]
 
 
 def train_helper(
@@ -147,16 +172,11 @@ def train_helper(
     tau: float = DEFAULT_TAU,
     epochs: int = DEFAULT_EPOCHS,
 ) -> HelperModel:
-    """Fit one helper from the corpus. Deterministic for a fixed corpus
-    order; requires at least MIN_TRAINING_SAMPLES target executions."""
-    if kind not in _KIND_CODES:
-        raise ArgumentError(f"unknown helper kind {kind!r}")
-    if not 1 <= h <= MAX_HISTORY:
-        raise ArgumentError(f"history length must be in [1, {MAX_HISTORY}]")
-    if epochs < 1:
-        raise ArgumentError(f"epochs must be at least 1, got {epochs}")
-    require_tau(tau)
-    samples = corpus.samples(target_ip, h)
+    """The helper of one target ip (``train_helpers``)."""
+    return train_helpers(corpus, [target_ip], kind, h, tau, epochs)[0]
+
+
+def _fit_helper(samples, target_ip, kind, h, tau, epochs, provenance) -> HelperModel:
     if len(samples) < MIN_TRAINING_SAMPLES:
         raise TrainingError(
             f"{len(samples)} samples of {target_ip:#x}, need {MIN_TRAINING_SAMPLES}"
@@ -171,7 +191,7 @@ def train_helper(
         theta = int(1.93 * h + 14)
         weights = _fit_perceptron(samples, h, theta, epochs)
         params = {"theta": theta, "weights": weights}
-    return HelperModel(target_ip, kind, h, tau, params, corpus.provenance())
+    return HelperModel(target_ip, kind, h, tau, params, provenance)
 
 
 # Packed perceptron weights: weight i (the bias is weight 0) lives in bits

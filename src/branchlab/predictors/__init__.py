@@ -1,40 +1,39 @@
-"""Conditional branch predictor families and the simulation driver."""
+"""Conditional branch predictor families and the simulation driver.
 
-from .base import ConditionalPredictor
-from .ensemble import EnsembleConfig, TageSCL, ensemble_config
-from .history import FoldedRegister, GlobalHistory, fold_history
-from .loop import LoopPredictor
-from .perceptron import Perceptron
-from .presets import PRESET_NAMES, estimate_storage, load_predictor_config, make_predictor
-from .sc import CorrectorConfig, StatisticalCorrector
-from .simple import AlwaysTaken, Bimodal, Gshare
+``simulate`` and its stream types load with the package. Every other name
+loads its module on first access, so code that only reads streams (charax,
+helper) does not import the predictors, nor numpy through their history
+folds.
+"""
+
+from importlib import import_module
+
+# eager: loaded lazily, ``simulate`` would be shadowed by its own submodule,
+# which the import system sets as a package attribute once it is imported
 from .simulate import MispredictionStream, SimRecord, simulate
-from .tage import AllocationStats, Tage, TageConfig, TageLookup
 
-__all__ = [
-    "AllocationStats",
-    "AlwaysTaken",
-    "Bimodal",
-    "ConditionalPredictor",
-    "CorrectorConfig",
-    "EnsembleConfig",
-    "FoldedRegister",
-    "GlobalHistory",
-    "Gshare",
-    "LoopPredictor",
-    "MispredictionStream",
-    "Perceptron",
-    "PRESET_NAMES",
-    "SimRecord",
-    "StatisticalCorrector",
-    "Tage",
-    "TageConfig",
-    "TageLookup",
-    "TageSCL",
-    "ensemble_config",
-    "estimate_storage",
-    "fold_history",
-    "load_predictor_config",
-    "make_predictor",
-    "simulate",
-]
+_LAZY = {
+    name: module
+    for module, names in (
+        ("base", "ConditionalPredictor"),
+        ("ensemble", "EnsembleConfig TageSCL ensemble_config"),
+        ("history", "FoldedRegister GlobalHistory fold_history"),
+        ("loop", "LoopPredictor"),
+        ("perceptron", "Perceptron"),
+        ("presets", "PRESET_NAMES estimate_storage load_predictor_config make_predictor"),
+        ("sc", "CorrectorConfig StatisticalCorrector"),
+        ("simple", "AlwaysTaken Bimodal Gshare"),
+        ("tage", "AllocationStats Tage TageConfig TageLookup"),
+    )
+    for name in names.split()
+}
+
+__all__ = sorted(["MispredictionStream", "SimRecord", "simulate", *_LAZY])
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value
+    return value

@@ -26,8 +26,10 @@ branch records and the trace's instruction count. On it1-bin it does not
 decode instructions: ``_read_it1_bin_branches`` steps over each record's
 operand payloads by their count bytes and builds a ``BranchRecord`` for the
 branch records alone, with every check of the full reader and the same
-errors. A stream it finds truncated is handed to the full reader, which
-raises the error it would have raised, naming the same offset.
+errors. Both binary IT1 readers unpack a record a few fields at a time; a
+record with a bad byte or a cut is read again field by field
+(``_raise_it1_bin_record``), so the error names its first bad byte or the
+offset of the field the stream ends in.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from typing import Iterable
 from .errors import ArgumentError, CorruptTrace, FormatError
 from .records import (
     CODE_TO_KIND,
+    EMPTY_INT_SET,
     KIND_TO_CODE,
     BranchKind,
     BranchRecord,
@@ -52,6 +55,7 @@ _BT1_REC = struct.Struct("<QQQBB")
 _U64 = struct.Struct("<Q")
 _IT1_HEAD = struct.Struct("<QQB")     # seq, ip, is_branch
 _IT1_BRANCH = struct.Struct("<BQB")   # kind code, target, taken
+_IT1_PAIR = struct.Struct("<BQ")      # register written, value
 
 BRANCH_FORMATS = ("bt1-text", "bt1-bin")
 INSTR_FORMATS = ("it1-jsonl", "it1-bin")
@@ -226,23 +230,45 @@ def _instr_to_obj(r: InstructionRecord) -> dict:
 
 
 def _instr_from_obj(obj: dict, where: str) -> InstructionRecord:
+    # fields are read in InstructionRecord's order, so the first bad one
+    # names the error; an empty operand set is the shared EMPTY_INT_SET
     try:
         is_branch = bool(obj["is_branch"])
-        rec = InstructionRecord(
-            seq=int(obj["seq"]),
-            ip=int(obj["ip"], 16) if isinstance(obj["ip"], str) else int(obj["ip"]),
-            is_branch=is_branch,
-            kind=BranchKind(obj["kind"]) if is_branch else None,
-            target=(int(obj["target"], 16) if isinstance(obj.get("target"), str) else int(obj["target"])) if is_branch else None,
-            taken=bool(obj["taken"]) if is_branch else None,
-            regs_read=frozenset(int(x) for x in obj.get("regs_read", ())),
-            regs_written=tuple((int(a), int(b)) for a, b in obj.get("regs_written", ())),
-            mem_read=frozenset(int(x) for x in obj.get("mem_read", ())),
-            mem_written=frozenset(int(x) for x in obj.get("mem_written", ())),
+        seq = int(obj["seq"])
+        ip = obj["ip"]
+        ip = int(ip, 16) if isinstance(ip, str) else int(ip)
+        kind = target = taken = None
+        if is_branch:
+            kind = BranchKind(obj["kind"])
+            target = obj["target"]
+            target = int(target, 16) if isinstance(target, str) else int(target)
+            taken = bool(obj["taken"])
+        get = obj.get
+        return InstructionRecord(
+            seq, ip, is_branch, kind, target, taken,
+            frozenset(map(int, get("regs_read", ()))) or EMPTY_INT_SET,
+            tuple([(int(reg), int(val)) for reg, val in get("regs_written", ())]),
+            frozenset(map(int, get("mem_read", ()))) or EMPTY_INT_SET,
+            frozenset(map(int, get("mem_written", ()))) or EMPTY_INT_SET,
         )
     except (KeyError, TypeError, ValueError) as e:
         raise CorruptTrace(f"{where}: {e!r}") from None
-    return rec
+
+
+_scan_json = json.JSONDecoder().scan_once
+
+
+def _json_line(line: str):
+    """``json.loads(line)``. A line that is one JSON value and nothing else
+    is scanned directly, without the whitespace matches around it; any
+    other line goes to ``json.loads``, which accepts or rejects it."""
+    try:
+        obj, end = _scan_json(line, 0)
+        if end == len(line):
+            return obj
+    except (StopIteration, ValueError):
+        pass
+    return json.loads(line)
 
 
 def _read_it1_jsonl(data: bytes) -> list[InstructionRecord]:
@@ -264,7 +290,7 @@ def _read_it1_jsonl(data: bytes) -> list[InstructionRecord]:
     last_seq = -1
     for lineno, line in enumerate(lines[1:], start=2):
         try:
-            obj = json.loads(line)
+            obj = _json_line(line)
         except json.JSONDecodeError as e:
             raise CorruptTrace(f"line {lineno}: {e}") from None
         rec = _instr_from_obj(obj, f"line {lineno}")
@@ -301,65 +327,63 @@ def _pack_instr(out: bytearray, r: InstructionRecord) -> None:
                 out += _U64.pack(v)
 
 
-class _Cursor:
-    __slots__ = ("data", "off")
-
-    def __init__(self, data: bytes, off: int):
-        self.data = data
-        self.off = off
-
-    def take(self, n: int) -> bytes:
-        if self.off + n > len(self.data):
-            raise CorruptTrace(f"truncated stream at offset {self.off}")
-        b = self.data[self.off : self.off + n]
-        self.off += n
-        return b
-
-    def u64(self) -> int:
-        return _U64.unpack(self.take(8))[0]
-
-    def u8(self) -> int:
-        return self.take(1)[0]
-
-
 def _read_it1_bin(data: bytes) -> list[InstructionRecord]:
     if not data.startswith(IT1_MAGIC):
         raise FormatError("missing IT01 magic")
-    cur = _Cursor(data, len(IT1_MAGIC))
-    count = cur.u64()
+    end = len(data)
+    off = len(IT1_MAGIC) + 8
+    if off > end:
+        raise CorruptTrace(f"truncated stream at offset {len(IT1_MAGIC)}")
+    (count,) = _U64.unpack_from(data, len(IT1_MAGIC))
+    head = _IT1_HEAD.unpack_from
+    tail = _IT1_BRANCH.unpack_from
+    pair = _IT1_PAIR.unpack_from
+    u64s = struct.unpack_from
+    kinds = CODE_TO_KIND.get
+    cond = BranchKind.COND
+    empty = EMPTY_INT_SET
     records: list[InstructionRecord] = []
     last_seq = -1
     for i in range(count):
-        seq = cur.u64()
-        ip = cur.u64()
-        is_branch = cur.u8()
-        if is_branch not in (0, 1):
-            raise CorruptTrace(f"record {i}: is_branch byte {is_branch}")
-        kind = target = taken = None
-        if is_branch:
-            kind_code = cur.u8()
-            if kind_code not in CODE_TO_KIND:
-                raise CorruptTrace(f"record {i}: unknown kind code {kind_code}")
-            kind = CODE_TO_KIND[kind_code]
-            target = cur.u64()
-            tk = cur.u8()
-            if tk not in (0, 1):
-                raise CorruptTrace(f"record {i}: taken byte {tk}")
-            taken = bool(tk)
-        regs_read = frozenset(cur.take(cur.u8()))
-        regs_written = tuple((cur.u8(), cur.u64()) for _ in range(cur.u8()))
-        mem_read = frozenset(cur.u64() for _ in range(cur.u8()))
-        mem_written = frozenset(cur.u64() for _ in range(cur.u8()))
-        rec = InstructionRecord(
-            seq=seq, ip=ip, is_branch=bool(is_branch), kind=kind, target=target,
-            taken=taken, regs_read=regs_read, regs_written=regs_written,
-            mem_read=mem_read, mem_written=mem_written,
-        )
-        _validate_rec(rec, f"record {i}", last_seq)
+        start = off
+        try:
+            seq, ip, is_branch = head(data, off)
+            off += _IT1_HEAD.size
+            kind = target = taken = None
+            if is_branch:
+                kind_code, target, taken = tail(data, off)
+                off += _IT1_BRANCH.size
+                kind = kinds(kind_code)
+            n = data[off]
+            regs_read = frozenset(data[off + 1:off + 1 + n]) if n else empty
+            off += 1 + n
+            n = data[off]
+            regs_written = tuple([pair(data, off + 1 + 9 * k) for k in range(n)])
+            off += 1 + 9 * n
+            n = data[off]
+            mem_read = frozenset(u64s(f"<{n}Q", data, off + 1)) if n else empty
+            off += 1 + 8 * n
+            n = data[off]
+            mem_written = frozenset(u64s(f"<{n}Q", data, off + 1)) if n else empty
+            off += 1 + 8 * n
+        except (IndexError, struct.error):
+            off = end + 1
+        if off > end or is_branch > 1 or (is_branch and (kind is None or taken > 1)):
+            _raise_it1_bin_record(data, start, i)
+        if seq <= last_seq:
+            raise CorruptTrace(f"record {i}: seq {seq} not greater than previous {last_seq}")
         last_seq = seq
-        records.append(rec)
-    if cur.off != len(data):
-        raise CorruptTrace(f"{len(data) - cur.off} trailing bytes after {count} records")
+        if is_branch:
+            taken = taken == 1
+            if kind is cond:
+                if not (regs_read or mem_read):
+                    raise CorruptTrace(f"record {i}: COND branch at seq {seq} reads nothing")
+            elif not taken:
+                raise CorruptTrace(f"record {i}: non-COND branch at seq {seq} marked not taken")
+        records.append(InstructionRecord(seq, ip, is_branch == 1, kind, target, taken,
+                                         regs_read, regs_written, mem_read, mem_written))
+    if off != end:
+        raise CorruptTrace(f"{end - off} trailing bytes after {count} records")
     return records
 
 
@@ -381,12 +405,14 @@ def _read_it1_bin_branches(data: bytes) -> tuple[list[BranchRecord], int]:
     branches: list[BranchRecord] = []
     last_seq = -1
     for i in range(count):
+        start = off
         try:
             seq, ip, is_branch = head(data, off)
             off += _IT1_HEAD.size
             if is_branch:
                 kind_code, target, taken = tail(data, off)
                 off += _IT1_BRANCH.size
+                kind = kinds(kind_code)
             n_regs = data[off]
             off += 1 + n_regs
             off += 1 + 9 * data[off]
@@ -395,20 +421,8 @@ def _read_it1_bin_branches(data: bytes) -> tuple[list[BranchRecord], int]:
             off += 1 + 8 * data[off]
         except (IndexError, struct.error):
             off = end + 1
-        if off > end:
-            # record i overruns the stream; every record before it passed
-            # the full reader's checks, so the full reader stops in record
-            # i too, at a bad byte ahead of the cut or at the cut itself
-            _read_it1_bin(data)
-            raise CorruptTrace(f"truncated stream in record {i}")
-        if is_branch:
-            if is_branch != 1:
-                raise CorruptTrace(f"record {i}: is_branch byte {is_branch}")
-            kind = kinds(kind_code)
-            if kind is None:
-                raise CorruptTrace(f"record {i}: unknown kind code {kind_code}")
-            if taken > 1:
-                raise CorruptTrace(f"record {i}: taken byte {taken}")
+        if off > end or is_branch > 1 or (is_branch and (kind is None or taken > 1)):
+            _raise_it1_bin_record(data, start, i)
         if seq <= last_seq:
             raise CorruptTrace(f"record {i}: seq {seq} not greater than previous {last_seq}")
         last_seq = seq
@@ -417,13 +431,49 @@ def _read_it1_bin_branches(data: bytes) -> tuple[list[BranchRecord], int]:
                 if not (n_regs or n_mem):
                     raise CorruptTrace(f"record {i}: COND branch at seq {seq} reads nothing")
             elif not taken:
-                raise CorruptTrace(
-                    f"record {i}: non-COND branch at seq {seq} marked not taken"
-                )
+                raise CorruptTrace(f"record {i}: non-COND branch at seq {seq} marked not taken")
             branches.append(BranchRecord(seq, ip, kind, target, taken == 1))
     if off != end:
         raise CorruptTrace(f"{end - off} trailing bytes after {count} records")
     return branches, count
+
+
+def _raise_it1_bin_record(data: bytes, off: int, i: int) -> None:
+    """Raise the error of it1-bin record ``i``, which starts at ``off`` and
+    holds a bad byte or overruns the stream. The record is read field by
+    field, as the format lays it out, so the error is its first bad byte
+    ahead of any cut, or else the cut, named by the offset of the field the
+    stream ends in."""
+    end = len(data)
+
+    def field(width: int) -> int:
+        nonlocal off
+        if off + width > end:
+            raise CorruptTrace(f"truncated stream at offset {off}")
+        off += width
+        return data[off - width] if width else 0
+
+    field(8)                                # seq
+    field(8)                                # ip
+    is_branch = field(1)
+    if is_branch > 1:
+        raise CorruptTrace(f"record {i}: is_branch byte {is_branch}")
+    if is_branch:
+        kind_code = field(1)
+        if kind_code not in CODE_TO_KIND:
+            raise CorruptTrace(f"record {i}: unknown kind code {kind_code}")
+        field(8)                            # target
+        taken = field(1)
+        if taken > 1:
+            raise CorruptTrace(f"record {i}: taken byte {taken}")
+    field(field(1))                         # regs read
+    for _ in range(field(1)):               # regs written
+        field(1)
+        field(8)
+    for _ in range(2):                      # mem read, mem written
+        for _ in range(field(1)):
+            field(8)
+    raise AssertionError(f"it1-bin record {i} at offset {off} is well formed")
 
 
 # ---------------------------------------------------------------- shared
@@ -475,20 +525,29 @@ def load_branch_trace(path: str | Path) -> tuple[list[BranchRecord], int]:
 
     A BT1 trace does not record its instruction count, so it is the last
     seq + 1 (0 when empty). An it1-jsonl trace is read whole and projected;
-    an it1-bin trace is walked for its branches only."""
+    an it1-bin trace is walked for its branches only. A format or
+    corruption error names the file."""
     data = Path(path).read_bytes()
-    fmt = detect_format(data)
-    if fmt == "it1-bin":
-        return _read_it1_bin_branches(data)
-    if fmt == "it1-jsonl":
-        instrs = read_instr_trace(data)
-        return project_branches(instrs), len(instrs)
-    records = read_branch_trace(data)
+    try:
+        fmt = detect_format(data)
+        if fmt == "it1-bin":
+            return _read_it1_bin_branches(data)
+        if fmt == "it1-jsonl":
+            instrs = read_instr_trace(data)
+            return project_branches(instrs), len(instrs)
+        records = read_branch_trace(data)
+    except (FormatError, CorruptTrace) as e:
+        raise type(e)(f"{path}: {e}") from None
     return records, (records[-1].seq + 1 if records else 0)
 
 
 def load_instr_trace(path: str | Path) -> list[InstructionRecord]:
+    """The instruction records of an IT1 file. A format or corruption error
+    names the file."""
     data = Path(path).read_bytes()
-    if detect_format(data) in BRANCH_FORMATS:
-        raise ArgumentError(f"{path} is a branch-level trace; instruction records unavailable")
-    return read_instr_trace(data)
+    try:
+        if detect_format(data) in BRANCH_FORMATS:
+            raise ArgumentError(f"{path} is a branch-level trace; instruction records unavailable")
+        return read_instr_trace(data)
+    except (FormatError, CorruptTrace) as e:
+        raise type(e)(f"{path}: {e}") from None

@@ -687,8 +687,45 @@ def test_unrecognized_stream_is_one_line_data_error(command, helper_ws, tmp_path
         out = tmp_path / "out"
         code, stdout, err = run(capsys, *_reading_argv(command, trace, out, helper_ws["models"]))
         assert (code, stdout) == (1, ""), name
-        assert err == "branchlab: error: unrecognized trace stream\n", name
+        assert err == f"branchlab: error: {trace}: unrecognized trace stream\n", name
         assert not out.exists()
+
+
+# run one command in a fresh interpreter, then name the heavy modules it loaded
+_IMPORT_PROBE = (
+    "import sys\n"
+    "from branchlab.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "print(' '.join(m for m in ('numpy', 'branchlab.synth', 'branchlab.predictors.tage')\n"
+    "               if m in sys.modules))\n"
+    "sys.exit(code)\n"
+)
+
+
+@pytest.mark.parametrize("command, loaded", [
+    ("recur", ""), ("deps", ""), ("regvals", ""), ("train-helper", ""),
+    ("sim", "numpy branchlab.predictors.tage"),
+])
+def test_commands_load_only_the_layers_they_run(command, loaded, ws, tmp_path):
+    """recur, deps, regvals and train-helper never import numpy, the
+    generator or the predictors; sim, which builds a predictor, does."""
+    argv = _reading_argv(command, ws["it1b"], tmp_path / "out", None)
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, *argv],
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == f"{loaded}\n"
+
+
+def test_bad_trace_among_good_ones_is_named(helper_ws, tmp_path, capsys):
+    """Of several training traces, the error names the one that is bad."""
+    bad = tmp_path / "bad.dat"
+    bad.write_bytes(b"\x00\x01\x02\x03")
+    out = tmp_path / "m.hm1"
+    code, stdout, err = run(capsys, "train-helper", "--trace", str(helper_ws["a"]),
+                            "--trace", str(bad), "--ip", hex(HELPER_IP), "--out", str(out))
+    assert (code, stdout) == (1, "")
+    assert err == f"branchlab: error: {bad}: unrecognized trace stream\n"
+    assert not out.exists()
 
 
 class TestParser:

@@ -34,6 +34,7 @@ from branchlab.helper import (
     save_models_file,
     serialize_models,
     train_helper,
+    train_helpers,
 )
 from branchlab.predictors import MispredictionStream, SimRecord, make_predictor, simulate
 from branchlab.records import BranchKind, BranchRecord
@@ -70,13 +71,18 @@ class TestCorpusSamples:
         ]))
         # pre-execution history, bit 0 = most recent COND outcome: the
         # second target execution sees A(T), T(F) behind it -> 0b01
-        assert corpus.samples(T_IP, h=2) == [(0b01, False), (0b01, True)]
+        assert corpus.samples([T_IP], h=2) == {T_IP: [(0b01, False), (0b01, True)]}
+        # one walk serves every target: A's first execution sees no history
+        assert corpus.samples([A_IP, T_IP], h=2) == {
+            A_IP: [(0b00, True), (0b10, True), (0b11, False)],
+            T_IP: [(0b01, False), (0b01, True)],
+        }
 
     def test_history_resets_between_traces(self):
         corpus = TrainingCorpus()
         corpus.add("t0", "i0", conds([(A_IP, True), (T_IP, True)]))
         corpus.add("t1", "i1", conds([(T_IP, True)]))
-        assert corpus.samples(T_IP, h=4) == [(1, True), (0, True)]
+        assert corpus.samples([T_IP], h=4) == {T_IP: [(1, True), (0, True)]}
         assert corpus.provenance() == (("t0", "i0"), ("t1", "i1"))
         assert corpus.input_ids() == {"i0", "i1"}
 
@@ -85,7 +91,7 @@ class TestCorpusSamples:
         jump = BranchRecord(seq=99, ip=0x30, kind=BranchKind.UNCOND, target=0x40)
         corpus = TrainingCorpus()
         corpus.add("t0", "i0", [rows[0], jump, rows[1]])
-        assert corpus.samples(T_IP, h=4) == [(1, True)]
+        assert corpus.samples([T_IP], h=4) == {T_IP: [(1, True)]}
 
 
 class TestTraining:
@@ -121,9 +127,25 @@ class TestTraining:
     def test_perceptron_fits_separable_rule(self):
         model = train_helper(self.make_corpus(), T_IP, kind=PERCEPTRON, h=4)
         assert model.params["theta"] == int(1.93 * 4 + 14)
-        samples = self.make_corpus().samples(T_IP, 4)
+        samples = self.make_corpus().samples([T_IP], 4)[T_IP]
         hits = sum(model.predict(hist)[0] == taken for hist, taken in samples)
         assert hits / len(samples) >= 0.99
+
+    @pytest.mark.parametrize("kind", [PATTERN_TABLE, PERCEPTRON])
+    def test_one_walk_serves_every_target(self, kind, monkeypatch):
+        corpus = self.make_corpus()
+        corpus.add("t1", "in-b", position_one_trace(2, 1200))
+        alone = [train_helper(corpus, ip, kind=kind, h=5) for ip in (T_IP, A_IP)]
+        walks = []
+        samples = TrainingCorpus.samples
+
+        def counted(self, target_ips, h):
+            walks.append(list(target_ips))
+            return samples(self, target_ips, h)
+
+        monkeypatch.setattr(TrainingCorpus, "samples", counted)
+        assert train_helpers(corpus, [T_IP, A_IP], kind=kind, h=5) == alone
+        assert walks == [[T_IP, A_IP]]
 
     def test_deterministic(self):
         a = train_helper(self.make_corpus(), T_IP, kind=PERCEPTRON, h=6)
@@ -148,6 +170,8 @@ class TestTraining:
             train_helper(corpus, T_IP, h=0)
         with pytest.raises(ArgumentError):
             train_helper(corpus, T_IP, h=65)
+        with pytest.raises(ArgumentError):
+            train_helpers(corpus, [T_IP, A_IP], h=0)
         for epochs in (0, -3):
             for kind in (PERCEPTRON, PATTERN_TABLE):
                 with pytest.raises(ArgumentError, match="epochs"):
@@ -214,7 +238,7 @@ def fit_both(records, h, epochs, bound):
         lo, hi = helper._WEIGHT_MIN, helper._WEIGHT_MAX
     theta = int(1.93 * h + 14)
     assert model.params["theta"] == theta
-    want = perceptron_oracle(corpus.samples(T_IP, h), h, theta, epochs, lo, hi)
+    want = perceptron_oracle(corpus.samples([T_IP], h)[T_IP], h, theta, epochs, lo, hi)
     return model.params["weights"], want
 
 

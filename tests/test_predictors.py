@@ -469,6 +469,25 @@ class TestSimulate:
         assert lines[1] == "0,0x1000,1,1,always-taken"
 
 
+def test_package_names():
+    """The package's ``simulate`` is the function, also once its module is
+    imported; every name in ``__all__`` resolves to the object its module
+    defines; an unknown name is an AttributeError."""
+    import branchlab.predictors as package
+
+    module = importlib.import_module("branchlab.predictors.simulate")
+    assert package.simulate is module.simulate
+    for name in package.__all__:
+        value = getattr(package, name)
+        home = getattr(value, "__module__", None)
+        if home is not None and home.startswith("branchlab.predictors."):
+            assert getattr(importlib.import_module(home), name) is value
+    with pytest.raises(AttributeError, match="no_such_name"):
+        package.no_such_name
+    with pytest.raises(ImportError):
+        from branchlab.predictors import no_such_name  # noqa: F401
+
+
 # --- whole-trace replay against the per-record reference ----------------------
 
 TAGE_PRESETS = ("tage:8kb", "tage:64kb", "tage-sc-l:8kb", "tage-sc-l:64kb")

@@ -1,12 +1,13 @@
 """Serialization roundtrips and stream validation for the trace formats."""
 
+import json
 import struct
 
 import pytest
 from hypothesis import given, strategies as st
 
 from branchlab.errors import ArgumentError, BranchLabError, CorruptTrace, FormatError
-from branchlab.records import BranchKind, BranchRecord, InstructionRecord
+from branchlab.records import EMPTY_INT_SET, BranchKind, BranchRecord, InstructionRecord
 from branchlab.traceio import (
     _read_it1_bin,
     _read_it1_bin_branches,
@@ -364,5 +365,125 @@ class TestPaths:
             with pytest.raises(FormatError):
                 read(path.read_bytes())
         for load in (load_branch_trace, load_instr_trace):
-            with pytest.raises(FormatError):
+            with pytest.raises(FormatError) as raised:
                 load(path)
+            assert str(raised.value) == f"{path}: unrecognized trace stream"
+
+    @pytest.mark.parametrize("name, cut", [("t.it1", -9), ("t.it1b", -3), ("t.bt1b", -3)])
+    def test_corrupt_trace_error_names_the_file(self, tmp_path, name, cut):
+        records = [InstructionRecord(seq=0, ip=0x10, regs_written=((1, 5),)),
+                   InstructionRecord(seq=1, ip=0x14, is_branch=True, kind=BranchKind.COND,
+                                     target=0x40, taken=False, regs_read=frozenset((1,)))]
+        path = tmp_path / name
+        save_trace(path, records)
+        path.write_bytes(path.read_bytes()[:cut])
+        loads = [load_branch_trace] if name.endswith(".bt1b") else [load_branch_trace,
+                                                                     load_instr_trace]
+        for load in loads:
+            with pytest.raises(CorruptTrace) as raised:
+                load(path)
+            assert str(raised.value).startswith(f"{path}: ")
+
+
+# --- the IT1 readers against a reference parser -------------------------------
+
+_KIND_OF_CODE = {0: BranchKind.COND, 1: BranchKind.UNCOND, 2: BranchKind.CALL,
+                 3: BranchKind.RET, 4: BranchKind.INDIRECT}
+_CODE_OF_KIND = {kind: code for code, kind in _KIND_OF_CODE.items()}
+
+
+@st.composite
+def hand_encoded_it1(draw):
+    """(records, bytes) of random instruction records, encoded here by hand
+    in one of the IT1 formats. The JSON lines spell some empty fields as []
+    and some ips and targets as plain integers."""
+    records = draw(instr_traces())
+    if draw(st.booleans()):
+        out = bytearray(b"IT01" + struct.pack("<Q", len(records)))
+        for r in records:
+            out += struct.pack("<QQB", r.seq, r.ip, r.is_branch)
+            if r.is_branch:
+                out += struct.pack("<BQB", _CODE_OF_KIND[r.kind], r.target, r.taken)
+            out += bytes([len(r.regs_read), *r.regs_read, len(r.regs_written)])
+            for reg, value in r.regs_written:
+                out += struct.pack("<BQ", reg, value)
+            for values in (r.mem_read, r.mem_written):
+                out += bytes([len(values)]) + b"".join(struct.pack("<Q", v) for v in values)
+        return records, bytes(out)
+    number = st.sampled_from([hex, int])
+    lines = [json.dumps({"format": "IT1", "instructions": len(records)})]
+    for r in records:
+        obj = {"seq": r.seq, "ip": draw(number)(r.ip), "is_branch": r.is_branch}
+        if r.is_branch:
+            obj.update(kind=r.kind.value, target=draw(number)(r.target), taken=r.taken)
+        for name in ("regs_read", "regs_written", "mem_read", "mem_written"):
+            values = [list(pair) for pair in getattr(r, name)] if name == "regs_written" \
+                else list(getattr(r, name))
+            if values or draw(st.booleans()):
+                obj[name] = values
+        lines.append(json.dumps(obj))
+    return records, ("\n".join(lines) + "\n").encode("ascii")
+
+
+def reference_it1(data: bytes) -> list[InstructionRecord]:
+    """Decode an IT1 stream the plain way: json.loads per line, or one
+    struct.unpack per binary field, and keyword construction."""
+    records = []
+    if data.startswith(b"IT01"):
+        off = 12
+
+        def field(fmt):
+            nonlocal off
+            (value,) = struct.unpack_from(fmt, data, off)
+            off += struct.calcsize(fmt)
+            return value
+
+        for _ in range(struct.unpack_from("<Q", data, 4)[0]):
+            seq, ip, is_branch = field("<Q"), field("<Q"), field("<B") == 1
+            kind = target = taken = None
+            if is_branch:
+                kind, target, taken = _KIND_OF_CODE[field("<B")], field("<Q"), field("<B") == 1
+            regs_read = frozenset(field("<B") for _ in range(field("<B")))
+            regs_written = tuple((field("<B"), field("<Q")) for _ in range(field("<B")))
+            mem_read = frozenset(field("<Q") for _ in range(field("<B")))
+            mem_written = frozenset(field("<Q") for _ in range(field("<B")))
+            records.append(InstructionRecord(
+                seq=seq, ip=ip, is_branch=is_branch, kind=kind, target=target, taken=taken,
+                regs_read=regs_read, regs_written=regs_written, mem_read=mem_read,
+                mem_written=mem_written))
+        assert off == len(data)
+        return records
+
+    def number(value):
+        return int(value, 16) if isinstance(value, str) else value
+
+    lines = data.decode("ascii").splitlines()
+    for line in lines[1:]:
+        obj = json.loads(line)
+        branch = obj["is_branch"]
+        records.append(InstructionRecord(
+            seq=obj["seq"], ip=number(obj["ip"]), is_branch=branch,
+            kind=BranchKind(obj["kind"]) if branch else None,
+            target=number(obj["target"]) if branch else None,
+            taken=obj["taken"] if branch else None,
+            regs_read=frozenset(obj.get("regs_read", [])),
+            regs_written=tuple(tuple(pair) for pair in obj.get("regs_written", [])),
+            mem_read=frozenset(obj.get("mem_read", [])),
+            mem_written=frozenset(obj.get("mem_written", []))))
+    assert json.loads(lines[0]) == {"format": "IT1", "instructions": len(records)}
+    return records
+
+
+@given(hand_encoded_it1())
+def test_it1_readers_match_reference_parser(encoded):
+    records, data = encoded
+    got = read_instr_trace(data)
+    want = reference_it1(data)
+    assert want == records
+    assert got == want
+    for g, w in zip(got, want):
+        assert (type(g.is_branch), type(g.taken)) == (type(w.is_branch), type(w.taken))
+        assert all(type(pair) is tuple for pair in g.regs_written)
+        for name in ("regs_read", "mem_read", "mem_written"):
+            if not getattr(g, name):
+                assert getattr(g, name) is EMPTY_INT_SET, name
