@@ -2,14 +2,16 @@
 
 Every predictor exposes:
 
-* ``predict(ip) -> (taken, confidence)`` with confidence an int in [0, 3].
-  Pure: calling it any number of times must not change predictor state.
-* ``update(record)``: retire one BranchRecord. Non-COND branches may still
-  shift path history; only COND records train direction state.
 * ``step(record) -> (predicted, provider) | None``: predict-then-update for
-  one record, returning the prediction made for COND records. Subclasses
-  override it when a fused implementation can share lookup work.
+  one record, returning the prediction made for COND records. Non-COND
+  branches may still shift path history; only COND records train
+  direction state.
 * ``storage_bytes() -> int``: modeled hardware budget of the table state.
+
+The default ``step`` is ``predict(ip) -> (taken, confidence)``, pure and
+with confidence an int in [0, 3], then ``update(record)``. A predictor that
+shares work between the two overrides ``step`` instead, and need not have
+them.
 
 A predictor may also expose ``replay(records)``, yielding (record,
 predicted, provider) per COND record with the same results and end state

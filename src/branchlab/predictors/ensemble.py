@@ -17,8 +17,8 @@ from ..errors import ConfigError
 from ..records import BranchKind, BranchRecord
 from .base import ConditionalPredictor
 from .loop import LoopPredictor
-from .sc import WINDOWS, CorrectorConfig, StatisticalCorrector
-from .tage import Tage, TageConfig, TageLookup, provider_name
+from .sc import WINDOWS, CorrectorConfig, StatisticalCorrector, mirror
+from .tage import Tage, TageConfig, provider_name
 
 _SC_WINDOW = max(WINDOWS)
 
@@ -100,51 +100,49 @@ class TageSCL(ConditionalPredictor):
         self.sc = StatisticalCorrector(config.corrector)
         self.loop = LoopPredictor(config.loop_entries)
 
-    def predict(self, ip: int) -> tuple[bool, int]:
-        lp = self.loop.lookup(ip)
-        if lp.predict_valid:
-            return lp.taken, 3
-        info = self.tage.lookup(ip)
-        d = self.sc.adjust(ip, info.taken, info.conf, self.tage.history.window(_SC_WINDOW))
-        return d.taken, d.conf
-
-    def update(self, record: BranchRecord) -> None:
-        self.step(record)
-
     def step(self, record: BranchRecord) -> tuple[bool, str] | None:
-        if record.kind is not BranchKind.COND:
-            self.tage.history.push_path(record.ip)
-            return None
         tage = self.tage
-        info = tage.lookup(record.ip)
-        out = self._resolve(record, info, tage.history.window(_SC_WINDOW))
+        if record.kind is not BranchKind.COND:
+            tage.history.push_path(record.ip)
+            return None
+        indices, tags = tage._indices_tags(record.ip)
+        item = (record, indices, tags, tage.history.window(_SC_WINDOW))
+        _, predicted, provider = next(self._kernel((item,)))
         tage.retire_history(record)
-        return out
+        return predicted, provider
 
     def replay(self, records: Sequence[BranchRecord]) -> Iterator[tuple[BranchRecord, bool, str]]:
         """step() over every record, yielding (record, predicted, provider)
         per COND record. History comes from Tage.retire_trace, so only the
         table walks and training run per record."""
-        tage = self.tage
-        for record, indices, tags, history_bits in tage.retire_trace(records, _SC_WINDOW):
-            info = tage._lookup(record.ip, indices, tags)
-            yield (record, *self._resolve(record, info, history_bits))
+        return self._kernel(self.tage.retire_trace(records, _SC_WINDOW))
 
-    def _resolve(self, record: BranchRecord, info: TageLookup, history_bits: int) -> tuple[bool, str]:
-        """Arbitrate one COND record and train every component on it; the
-        caller retires its history."""
-        d = self.sc.adjust(record.ip, info.taken, info.conf, history_bits)
-        lp = self.loop.lookup(record.ip)
-        if lp.predict_valid:
-            final, provider = lp.taken, "loop"
-        elif d.overrode:
-            final, provider = d.taken, "sc"
-        else:
-            final, provider = info.taken, provider_name(info)
-        self.loop.update(record)
-        self.sc.train(record.ip, info.taken, history_bits, d, record.taken)
-        self.tage.train(record, info)
-        return final, provider
+    def _kernel(self, items) -> Iterator[tuple[BranchRecord, bool, str]]:
+        """Predict and train every component on each COND record of
+        ``items``, (record, TAGE indices, TAGE tags, newest direction bits)
+        in retirement order, yielding (record, predicted, provider); the
+        caller retires the history. A confident loop entry overrides
+        everything; otherwise the corrector arbitrates the TAGE output."""
+        tage, sc, loop = self.tage, self.sc, self.loop
+        lookup, tage_train = tage._lookup, tage.train
+        decide, sc_train = sc.decide, sc.train
+        loop_prediction, loop_update = loop.prediction, loop.update
+        for record, indices, tags, history_bits in items:
+            ip = record.ip
+            info = lookup(ip, indices, tags)
+            history = mirror(history_bits)
+            total, overrode = decide(ip, info.taken, info.conf, history)
+            predicted = loop_prediction(ip)
+            if predicted is not None:
+                provider = "loop"
+            elif overrode:
+                predicted, provider = not info.taken, "sc"
+            else:
+                predicted, provider = info.taken, provider_name(info)
+            loop_update(record)
+            sc_train(ip, info.taken, history, total, overrode, record.taken)
+            tage_train(record, info)
+            yield record, predicted, provider
 
     def allocation_telemetry(self):
         return self.tage.allocation_telemetry()

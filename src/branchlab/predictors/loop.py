@@ -30,15 +30,6 @@ class LoopEntry:
     age: int = 0
 
 
-# not frozen, like tage.TageLookup: built once per simulated branch
-@dataclass(slots=True)
-class LoopLookup:
-    hit: bool
-    predict_valid: bool   # entry is confident enough to drive the prediction
-    taken: bool
-    conf: int
-
-
 class LoopPredictor:
     def __init__(self, entries: int = 64):
         self.entries = require_pow2(entries, "loop entries")
@@ -50,14 +41,14 @@ class LoopPredictor:
         tag = (ip >> (2 + self._idx_bits)) & _TAG_MASK
         return self.table[idx], tag
 
-    def lookup(self, ip: int) -> LoopLookup:
+    def prediction(self, ip: int) -> bool | None:
+        """The direction of ``ip``'s next retirement when a confident entry
+        holds it, else None."""
         entry, tag = self._slot(ip)
-        if entry.tag != tag:
-            return LoopLookup(False, False, False, 0)
-        valid = entry.past > 0 and entry.conf >= 3
+        if entry.tag != tag or entry.past == 0 or entry.conf < 3:
+            return None
         # exit iteration: the (past)th retirement of the instance falls out
-        taken = entry.current + 1 != entry.past
-        return LoopLookup(True, valid, taken, entry.conf)
+        return entry.current + 1 != entry.past
 
     def update(self, record: BranchRecord) -> None:
         if record.kind is not BranchKind.COND:

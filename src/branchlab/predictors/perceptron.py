@@ -12,8 +12,9 @@ import math
 
 from ..errors import ConfigError
 from ..records import BranchKind, BranchRecord
-from .base import ConditionalPredictor, clamp, require_pow2
+from .base import ConditionalPredictor, require_pow2
 from .history import GlobalHistory
+from .packed import FieldLayout
 
 
 class Perceptron(ConditionalPredictor):
@@ -29,46 +30,30 @@ class Perceptron(ConditionalPredictor):
         self.rows = rows
         self.weight_bits = weight_bits
         self.theta = math.floor(1.93 * history_length + 14)
-        self._wmin = -(1 << (weight_bits - 1))
-        self._wmax = (1 << (weight_bits - 1)) - 1
-        # weights[row] = [bias, w_1 .. w_n]; w_i pairs with the outcome i
-        # branches back
-        self.weights = [[0] * (history_length + 1) for _ in range(rows)]
+        # weights[row] packs [bias, w_1 .. w_n]; w_i pairs with the outcome
+        # i branches back
+        self.layout = FieldLayout(weight_bits, history_length + 1)
+        self.weights = [self.layout.pack([0] * (history_length + 1))] * rows
         self.history = GlobalHistory(history_length)
 
     def _row(self, ip: int) -> int:
         return (ip >> 2) & (self.rows - 1)
 
-    def _output(self, ip: int) -> int:
-        w = self.weights[self._row(ip)]
-        bits = self.history.window(self.history_length)
-        y = w[0]
-        for i in range(1, self.history_length + 1):
-            if (bits >> (i - 1)) & 1:
-                y += w[i]
-            else:
-                y -= w[i]
-        return y
-
-    def predict(self, ip: int) -> tuple[bool, int]:
-        y = self._output(ip)
-        conf = min(3, 3 * abs(y) // self.theta)
-        return y >= 0, conf
-
-    def update(self, record: BranchRecord) -> None:
+    def step(self, record: BranchRecord) -> tuple[bool, str] | None:
         if record.kind is not BranchKind.COND:
-            return
-        y = self._output(record.ip)
+            return None
+        layout = self.layout
+        row = self._row(record.ip)
+        packed = self.weights[row]
+        # history bit i - 1 feeds field i; the bias's field 0 reads +1
+        history = layout.mirror(self.history.bits, self.history_length) << layout.width
+        y = layout.dot(packed, history)
         predicted = y >= 0
-        t = 1 if record.taken else -1
-        if predicted != record.taken or abs(y) <= self.theta:
-            w = self.weights[self._row(record.ip)]
-            bits = self.history.window(self.history_length)
-            w[0] = clamp(w[0] + t, self._wmin, self._wmax)
-            for i in range(1, self.history_length + 1):
-                x = 1 if (bits >> (i - 1)) & 1 else -1
-                w[i] = clamp(w[i] + t * x, self._wmin, self._wmax)
-        self.history.push_direction(record.taken)
+        taken = record.taken
+        if predicted != taken or abs(y) <= self.theta:
+            self.weights[row] = layout.step(packed, history, taken)
+        self.history.push_direction(taken)
+        return predicted, self.name
 
     def storage_bytes(self) -> int:
         return self.rows * (self.history_length + 1) * self.weight_bits // 8

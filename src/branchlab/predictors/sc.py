@@ -6,14 +6,26 @@ vectors against fixed global-history windows (8, 16, 32 bits). When the
 sum disagrees in sign with TAGE and clears a dynamically trained
 threshold, the corrector's direction wins. With all weights zero the sum
 is exactly the scaled TAGE vote, so a fresh corrector can never override.
+
+The bias weights are a list of signed ints. The three vectors of one
+prediction are one packed row of ``LAYOUT`` (``packed.FieldLayout``): 56
+fields of 12 bits, each holding a 6-bit weight plus 32. The 8-bit
+window's weights sit in fields 0-7, the 16-bit window's in fields 8-23
+and the 32-bit window's in fields 24-55. Each bank stores its rows
+already shifted to its own fields, so the row of a prediction is the OR
+of one row of each bank. The history's mirror over those fields is the
+OR of one ``_BYTE_MIRRORS`` entry per history byte; the dot product of
+the row against it is one multiply, and one packed step trains all 56
+weights. A step skips a weight that would leave [-32, 31], which for +-1
+steps is the packed step's saturation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
 
 from .base import clamp, require_pow2
+from .packed import FieldLayout
 
 WINDOWS = (8, 16, 32)
 # signed weight width, and the dynamic threshold's start and bounds
@@ -21,10 +33,38 @@ WEIGHT_BITS = 6
 _WMIN = -(1 << (WEIGHT_BITS - 1))
 _WMAX = (1 << (WEIGHT_BITS - 1)) - 1
 THETA_INIT, THETA_MIN, THETA_MAX = 6, 1, 63
+# the pc shear that decorrelates each bank's row index
 _SHEARS = tuple(3 + k for k in range(len(WINDOWS)))
-# _BYTE_BITS[b][j] is bit j of byte b, so a window's bits, LSB first, are
-# concatenated byte rows
-_BYTE_BITS = tuple(tuple((b >> j) & 1 for j in range(8)) for b in range(256))
+
+LAYOUT = FieldLayout(WEIGHT_BITS, sum(WINDOWS))
+# the first field of each window
+_OFFSETS = tuple(sum(WINDOWS[:k]) for k in range(len(WINDOWS)))
+# every bit of each bank's fields
+_BANK_FIELDS = tuple(
+    LAYOUT.fields(w) << (LAYOUT.width * off) for w, off in zip(WINDOWS, _OFFSETS)
+)
+
+
+# _BYTE_MIRRORS[k][b]: the mirror of history byte k holding b, in every
+# window that holds the byte (each window is whole bytes); the byte's
+# fields in different windows do not overlap, so one multiply places
+# every copy
+_BYTE_MIRRORS = tuple(
+    tuple(LAYOUT.mirror(b, 8) * copies for b in range(256))
+    for copies in (
+        sum(1 << (LAYOUT.width * (off + 8 * k)) for w, off in zip(WINDOWS, _OFFSETS) if w > 8 * k)
+        for k in range(max(WINDOWS) // 8)
+    )
+)
+
+
+def mirror(history_bits: int) -> int:
+    """The mirror of the newest 32 direction bits (bit 0 newest) over the
+    fields of every window: bit j reaches field offset + j of each window
+    longer than j."""
+    t0, t1, t2, t3 = _BYTE_MIRRORS
+    return (t0[history_bits & 0xFF] | t1[history_bits >> 8 & 0xFF]
+            | t2[history_bits >> 16 & 0xFF] | t3[history_bits >> 24 & 0xFF])
 
 
 @dataclass(frozen=True)
@@ -40,79 +80,70 @@ class CorrectorConfig:
         return (self.bias_entries + sum(WINDOWS) * self.vector_rows) * WEIGHT_BITS // 8
 
 
-# not frozen, like tage.TageLookup: built once per simulated branch
-@dataclass(slots=True)
-class ScDecision:
-    taken: bool
-    conf: int
-    overrode: bool
-    total: int
-
-
 class StatisticalCorrector:
+    """The corrector's state: ``bias`` holds signed weights, ``banks[k]``
+    the packed rows of window k, and ``theta`` the threshold."""
+
     def __init__(self, config: CorrectorConfig | None = None):
         cfg = config if config is not None else CorrectorConfig()
         cfg.validate()
         self.config = cfg
         self.bias = [0] * cfg.bias_entries
-        self.vectors = [[[0] * w for _ in range(cfg.vector_rows)] for w in WINDOWS]
+        zero = LAYOUT.pack([0] * LAYOUT.count)
+        self.banks = [[zero & fields] * cfg.vector_rows for fields in _BANK_FIELDS]
         self.theta = THETA_INIT
         self._bias_mask = cfg.bias_entries - 1
         self._row_mask = cfg.vector_rows - 1
 
-    def _rows(self, ip: int) -> list[int]:
-        pc = ip >> 2
+    def _rows(self, pc: int) -> tuple[int, int, int]:
+        """Each bank's row index; the pc shears decorrelate the banks."""
         mask = self._row_mask
-        # decorrelate the three banks with different pc shears
-        return [(pc ^ (pc >> shear)) & mask for shear in _SHEARS]
+        s0, s1, s2 = _SHEARS
+        return (pc ^ pc >> s0) & mask, (pc ^ pc >> s1) & mask, (pc ^ pc >> s2) & mask
 
-    def _sum(self, ip: int, tage_taken: bool, tage_conf: int, history_bits: int) -> int:
-        total = (1 if tage_taken else -1) * (2 * tage_conf + 1) * 2
-        total += self.bias[(ip >> 2) & self._bias_mask]
-        rows = self._rows(ip)
-        taken_bits = ()
-        for shift in range(0, max(WINDOWS), 8):
-            taken_bits += _BYTE_BITS[(history_bits >> shift) & 0xFF]
-        # +weight where the history bit is taken, -weight where it is not
-        for k in range(len(WINDOWS)):
-            vec = self.vectors[k][rows[k]]
-            total += 2 * sum(compress(vec, taken_bits)) - sum(vec)
-        return total
-
-    def adjust(self, ip: int, tage_taken: bool, tage_conf: int, history_bits: int) -> ScDecision:
-        """Pure arbitration; ``history_bits`` carries the most recent
-        direction outcomes with bit 0 newest."""
-        total = self._sum(ip, tage_taken, tage_conf, history_bits)
+    def decide(self, ip: int, tage_taken: bool, tage_conf: int, history: int) -> tuple[int, bool]:
+        """The sum for one prediction, and whether it overrides TAGE: it
+        disagrees with TAGE in sign and its magnitude clears theta.
+        ``history`` is ``mirror`` of the newest directions. Changes no
+        state."""
+        pc = ip >> 2
+        r0, r1, r2 = self._rows(pc)
+        b0, b1, b2 = self.banks
+        vote = 4 * tage_conf + 2
+        total = (
+            (vote if tage_taken else -vote)
+            + self.bias[pc & self._bias_mask]
+            + LAYOUT.dot(b0[r0] | b1[r1] | b2[r2], history)
+        )
         sc_taken = total >= 0
-        if sc_taken != tage_taken and abs(total) > self.theta:
-            return ScDecision(sc_taken, min(3, abs(total) // (2 * self.theta)), True, total)
-        return ScDecision(tage_taken, tage_conf, False, total)
+        return total, sc_taken != tage_taken and abs(total) > self.theta
 
-    def train(self, ip: int, tage_taken: bool, history_bits: int,
-              decision: ScDecision, outcome: bool) -> None:
-        """Weight/threshold update for one outcome; ``decision`` must be the
-        adjust() result computed against the same pre-branch history."""
-        total = decision.total
+    def train(self, ip: int, tage_taken: bool, history: int,
+              total: int, overrode: bool, outcome: bool) -> None:
+        """Theta and weight update for one outcome, given what decide()
+        returned for the same ip and history."""
         sc_taken = total >= 0
-        # dynamic threshold adapts on TAGE/SC disagreements
+        magnitude = abs(total)
+        theta = self.theta
+        # the dynamic threshold adapts on TAGE/SC disagreements
         if sc_taken != tage_taken:
-            if sc_taken == outcome and abs(total) <= self.theta:
-                self.theta = max(THETA_MIN, self.theta - 1)
-            elif sc_taken != outcome and abs(total) > self.theta:
-                self.theta = min(THETA_MAX, self.theta + 1)
-        if decision.taken == outcome and abs(total) > self.theta:
+            if sc_taken == outcome and magnitude <= theta:
+                theta = self.theta = max(THETA_MIN, theta - 1)
+            elif sc_taken != outcome and magnitude > theta:
+                theta = self.theta = min(THETA_MAX, theta + 1)
+        if (sc_taken if overrode else tage_taken) == outcome and magnitude > theta:
             return
-        t = 1 if outcome else -1
-        b = (ip >> 2) & self._bias_mask
-        self.bias[b] = clamp(self.bias[b] + t, _WMIN, _WMAX)
-        rows = self._rows(ip)
-        for k, w in enumerate(WINDOWS):
-            vec = self.vectors[k][rows[k]]
-            for j in range(w):
-                x = 1 if (history_bits >> j) & 1 else -1
-                nw = vec[j] + t * x
-                if _WMIN <= nw <= _WMAX:
-                    vec[j] = nw
+        pc = ip >> 2
+        bias = self.bias
+        b = pc & self._bias_mask
+        bias[b] = clamp(bias[b] + (1 if outcome else -1), _WMIN, _WMAX)
+        r0, r1, r2 = self._rows(pc)
+        b0, b1, b2 = self.banks
+        row = LAYOUT.step(b0[r0] | b1[r1] | b2[r2], history, outcome)
+        f0, f1, f2 = _BANK_FIELDS
+        b0[r0] = row & f0
+        b1[r1] = row & f1
+        b2[r2] = row & f2
 
     def storage_bytes(self) -> int:
         return self.config.storage_bytes()

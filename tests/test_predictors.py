@@ -30,7 +30,8 @@ from branchlab.predictors import (
     SimRecord,
     simulate,
 )
-from branchlab.predictors.sc import THETA_MAX, THETA_MIN
+from branchlab.predictors.packed import FieldLayout
+from branchlab.predictors.sc import LAYOUT, THETA_MAX, THETA_MIN, WEIGHT_BITS, WINDOWS, mirror
 from branchlab.synth import Biased, DataDependent, RarePool, SyntheticProgramSpec, generate_trace
 from branchlab.traceio import project_branches
 
@@ -176,8 +177,8 @@ class TestPerceptron:
     def test_weights_stay_in_range(self):
         p = Perceptron(history_length=4, rows=2, weight_bits=4)
         for i in range(500):
-            p.update(cond(i, 0x10, True))
-        flat = [w for row in p.weights for w in row]
+            p.step(cond(i, 0x10, True))
+        flat = [w for row in p.weights for w in p.layout.unpack(row)]
         assert all(-8 <= w <= 7 for w in flat)
 
     def test_rows_must_be_pow2(self):
@@ -194,9 +195,9 @@ class TestLoopPredictor:
         for _ in range(instances):
             for it in range(trip):
                 taken = it < trip - 1
-                look = lp.lookup(ip)
+                predicted = lp.prediction(ip)
                 if not taken:
-                    verdicts.append(look.predict_valid and look.taken is False)
+                    verdicts.append(predicted is False)
                 lp.update(cond(seq, ip, taken))
                 seq += 1
         return verdicts
@@ -210,22 +211,21 @@ class TestLoopPredictor:
         lp = LoopPredictor()
         self.run_instances(lp, trip=5, instances=4)
         lp.update(cond(100, 0x600, True))   # first retirement of instance 5
-        look = lp.lookup(0x600)
-        assert look.predict_valid and look.taken is True
+        assert lp.prediction(0x600) is True
 
     def test_trip_change_resets_confidence(self):
         lp = LoopPredictor()
         self.run_instances(lp, trip=5, instances=4)
         self.run_instances(lp, trip=7, instances=1)
-        assert lp.lookup(0x600).predict_valid is False
+        assert lp.prediction(0x600) is None
 
     def test_occupied_slot_ages_before_takeover(self):
         lp = LoopPredictor(entries=1)
         self.run_instances(lp, trip=4, instances=4, ip=0x600)
-        assert lp.lookup(0x600).predict_valid
+        assert lp.prediction(0x600) is not None
         other = 0x600 + (1 << 12)   # same slot, different tag
         lp.update(cond(0, other, True))
-        assert lp.lookup(0x600).hit   # survived one contender touch
+        assert lp.prediction(0x600) is not None   # survived one contender touch
 
     def test_storage(self):
         assert LoopPredictor(64).storage_bytes() == 64 * 39 // 8
@@ -298,23 +298,22 @@ class TestStatisticalCorrector:
         sc = StatisticalCorrector()
         rng = random.Random(0)
         for _ in range(200):
-            d = sc.adjust(rng.randrange(1 << 20), rng.random() < 0.5,
-                          rng.randrange(4), rng.randrange(1 << 32))
-            assert d.overrode is False
+            _, overrode = sc.decide(rng.randrange(1 << 20), rng.random() < 0.5,
+                                    rng.randrange(4), mirror(rng.randrange(1 << 32)))
+            assert overrode is False
 
-    def test_adjust_is_pure(self):
+    def test_decide_is_pure(self):
         sc = StatisticalCorrector()
-        sc.train(0x40, True, 0b1010, sc.adjust(0x40, True, 1, 0b1010), False)
-        snapshot = (list(sc.bias), [[list(v) for v in bank] for bank in sc.vectors], sc.theta)
+        sc.train(0x40, True, mirror(0b1010), *sc.decide(0x40, True, 1, mirror(0b1010)), False)
+        snapshot = (list(sc.bias), [list(bank) for bank in sc.banks], sc.theta)
         for _ in range(50):
-            sc.adjust(0x40, True, 2, 0b1100)
-        assert snapshot == (list(sc.bias), [[list(v) for v in bank] for bank in sc.vectors], sc.theta)
+            sc.decide(0x40, True, 2, mirror(0b1100))
+        assert snapshot == (list(sc.bias), [list(bank) for bank in sc.banks], sc.theta)
 
     def test_training_moves_bias_toward_outcome(self):
         sc = StatisticalCorrector()
         for _ in range(10):
-            d = sc.adjust(0x40, True, 0, 0)
-            sc.train(0x40, True, 0, d, False)
+            sc.train(0x40, True, mirror(0), *sc.decide(0x40, True, 0, mirror(0)), False)
         assert sc.bias[(0x40 >> 2) & (sc.config.bias_entries - 1)] < 0
 
     def test_theta_stays_in_bounds(self):
@@ -322,9 +321,9 @@ class TestStatisticalCorrector:
         rng = random.Random(1)
         for i in range(3000):
             ip = rng.randrange(1 << 16)
-            hist = rng.randrange(1 << 32)
-            d = sc.adjust(ip, rng.random() < 0.5, rng.randrange(4), hist)
-            sc.train(ip, rng.random() < 0.5, hist, d, rng.random() < 0.5)
+            hist = mirror(rng.randrange(1 << 32))
+            total, overrode = sc.decide(ip, rng.random() < 0.5, rng.randrange(4), hist)
+            sc.train(ip, rng.random() < 0.5, hist, total, overrode, rng.random() < 0.5)
             assert THETA_MIN <= sc.theta <= THETA_MAX
 
     def test_config_validation(self):
@@ -366,18 +365,6 @@ class TestEnsemble:
         providers = {r.provider for r in st_.records[trip * 5 :]}
         assert "loop" in providers
         assert accuracy_of(st_, skip=trip * 5) == 1.0
-
-    def test_step_and_predict_agree(self):
-        a, b = TageSCL(seed=0), TageSCL(seed=0)
-        rng = random.Random(4)
-        for i in range(500):
-            r = cond(i, 0x100 + 16 * rng.randrange(4), rng.random() < 0.5)
-            want, _ = a.predict(r.ip)
-            got, _ = a.step(r)
-            assert want == got
-            b.update(r)
-        # update() is step() without the return value
-        assert simulate([], a).records == simulate([], b).records
 
 
 class TestPresetsAndConfig:
@@ -488,6 +475,82 @@ def test_package_names():
         from branchlab.predictors import no_such_name  # noqa: F401
 
 
+# --- packed weights against a per-weight loop ---------------------------------
+
+def inputs_of(history, n):
+    """The +-1 input of each of the newest n history bits, bit 0 first."""
+    return [1 if history >> j & 1 else -1 for j in range(n)]
+
+
+def loop_dot(weights, inputs):
+    return sum(w * x for w, x in zip(weights, inputs))
+
+
+def loop_skip(weights, inputs, up, bits):
+    """The corrector's update: a weight moves by +x (up) or -x unless it
+    would leave the signed range of ``bits`` bits."""
+    lo, hi = -(1 << (bits - 1)), (1 << (bits - 1)) - 1
+    out = []
+    for w, x in zip(weights, inputs):
+        moved = w + (x if up else -x)
+        out.append(moved if lo <= moved <= hi else w)
+    return out
+
+
+def loop_clamp(weights, inputs, up, bits):
+    """The perceptron's update: every weight moves, then is clamped."""
+    lo, hi = -(1 << (bits - 1)), (1 << (bits - 1)) - 1
+    return [min(hi, max(lo, w + (x if up else -x))) for w, x in zip(weights, inputs)]
+
+
+def weights_near_bounds(bits, n):
+    """n signed weights of ``bits`` bits, three in four at or next to a
+    bound."""
+    lo, hi = -(1 << (bits - 1)), (1 << (bits - 1)) - 1
+    near = st.sampled_from((lo, lo + 1, hi - 1, hi))
+    return st.lists(st.one_of(near, near, near, st.integers(lo, hi)), min_size=n, max_size=n)
+
+
+@st.composite
+def packed_cases(draw):
+    """(layout, weights, +-1 inputs, the mirror of those inputs, weight
+    bits): one corrector window, the corrector's three windows as one
+    row, or a perceptron row whose field 0 is the bias."""
+    shape = draw(st.sampled_from(("window", "corrector", "perceptron")))
+    history = draw(st.integers(0, (1 << 64) - 1))
+    if shape == "window":
+        n = draw(st.sampled_from(WINDOWS))
+        layout = FieldLayout(WEIGHT_BITS, n)
+        inputs, mirrored = inputs_of(history, n), layout.mirror(history, n)
+    elif shape == "corrector":
+        layout = LAYOUT
+        inputs = [x for n in WINDOWS for x in inputs_of(history, n)]
+        mirrored = mirror(history & 0xFFFFFFFF)
+    else:
+        bits, n = draw(st.sampled_from((2, 8))), draw(st.integers(1, 64))
+        layout = FieldLayout(bits, n + 1)
+        inputs = [1] + inputs_of(history, n)
+        mirrored = layout.mirror(history, n) << layout.width
+    bits = layout.weight_bits
+    weights = draw(weights_near_bounds(bits, len(inputs)))
+    return layout, weights, inputs, mirrored, bits
+
+
+@given(packed_cases(), st.booleans())
+@settings(max_examples=300)
+def test_packed_arithmetic_matches_per_weight_loop(case, up):
+    """The packed dot product and saturating +-1 step equal a loop over
+    the weights, and for +-1 steps skipping a weight that would leave its
+    range is clamping it."""
+    layout, weights, inputs, mirrored, bits = case
+    packed = layout.pack(weights)
+    assert layout.unpack(packed) == weights
+    assert layout.dot(packed, mirrored) == loop_dot(weights, inputs)
+    want = loop_skip(weights, inputs, up, bits)
+    assert want == loop_clamp(weights, inputs, up, bits)
+    assert layout.unpack(layout.step(packed, mirrored, up)) == want
+
+
 # --- whole-trace replay against the per-record reference ----------------------
 
 TAGE_PRESETS = ("tage:8kb", "tage:64kb", "tage-sc-l:8kb", "tage-sc-l:64kb")
@@ -545,7 +608,7 @@ def stepped(records, predictor):
 def predictor_state(p):
     """Every piece of state step() touches, as comparable values."""
     if isinstance(p, TageSCL):
-        return (predictor_state(p.tage), p.sc.bias, p.sc.vectors, p.sc.theta, p.loop.table)
+        return (predictor_state(p.tage), p.sc.bias, p.sc.banks, p.sc.theta, p.loop.table)
     h = p.history
     return (
         p.tags, p.ctrs, p.useful, p.fresh, p.base,
