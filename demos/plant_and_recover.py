@@ -66,7 +66,7 @@ def main() -> None:
         print(f"  #{hit.rank} {hit.ip:#x}: {hit.mispredictions} mispredictions "
               f"({stats.executions} executions, cum {hit.cumulative_fraction:.2f})")
 
-    dist = find_dependency_branches(records, H2P, window=5_000)
+    (dist,) = find_dependency_branches(records, [H2P], window=5_000)
     print(f"\ndependency analysis over {dist.executions} executions of {H2P:#x}:")
     print(f"  top dependency {dist.top_dependency():#x} "
           f"(planted gate was {GATE:#x})")

@@ -11,8 +11,8 @@ it runs. Library code imports the submodules: ``branchlab.traceio``
 (``load_branch_trace``, ``load_instr_trace``), ``branchlab.synth``,
 ``branchlab.predictors`` (``make_predictor``, ``simulate``),
 ``branchlab.charax``, ``branchlab.depgraph``, ``branchlab.pipeline``,
-``branchlab.helper``, ``branchlab.reports``, ``branchlab.records`` and
-``branchlab.errors``.
+``branchlab.helper``, ``branchlab.reports``, ``branchlab.records``,
+``branchlab.defaults`` and ``branchlab.errors``.
 """
 
 __version__ = "0.1.0"

@@ -11,11 +11,11 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
+from .defaults import DEFAULT_SLICE_LEN
 from .errors import ArgumentError
 from .predictors.simulate import MispredictionStream
 from .records import BranchKind, BranchRecord
 
-DEFAULT_SLICE_LEN = 30_000_000
 DECADE_BINS = 9   # [1,10), [10,100), ... [10^7,10^8), [10^8,inf)
 
 
@@ -191,31 +191,6 @@ def heavy_hitters(totals: Mapping[int, IpStats]) -> HeavyHitterReport:
         running += m
         entries.append(HeavyHitter(rank, ip, m, running / total))
     return HeavyHitterReport(entries, total, False)
-
-
-def cross_input_h2p(per_input_sets: Sequence[set[int]], k: int) -> set[int]:
-    """ips flagged in at least k of the given inputs."""
-    require_at_least_one(k, "k")
-    counts: dict[int, int] = {}
-    for s in per_input_sets:
-        for ip in s:
-            counts[ip] = counts.get(ip, 0) + 1
-    return {ip for ip, c in counts.items() if c >= k}
-
-
-def accuracy_excluding(stats: Mapping[int, IpStats], excluded: set[int]) -> float | None:
-    """Aggregate accuracy over ips not in ``excluded``; None when nothing
-    remains."""
-    execs = 0
-    mis = 0
-    for ip, st in stats.items():
-        if ip in excluded:
-            continue
-        execs += st.executions
-        mis += st.mispredictions
-    if execs == 0:
-        return None
-    return (execs - mis) / execs
 
 
 @dataclass(frozen=True, slots=True)

@@ -11,9 +11,13 @@ writes it to the summary file the subparser names (``summary`` default;
 gen and train-helper name none) and prints it as one line under --json.
 The output directory is made only after the inputs have loaded.
 
-Each command imports only the layers it runs: the generator loads in
-``gen`` and the predictors (with numpy) where a predictor is built, so
-``recur``, ``deps``, ``regvals`` and ``train-helper`` start without them.
+Each command imports only the layers it runs, inside its handler: the
+generator in ``gen``, the predictors (with numpy) where a predictor is
+built, and each analysis layer (charax, depgraph, pipeline, helper) in
+the handlers that call it. So ``sim`` loads no analysis layer, ``deps``
+and ``regvals`` load only depgraph, and ``recur`` and ``train-helper``
+start without numpy. The parser's defaults come from ``defaults``, which
+the layers read too.
 
 Every reading command recognizes a trace's format from its bytes, whatever
 the file is named; only ``gen`` chooses one (``--format`` or the extension).
@@ -31,7 +35,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import charax, depgraph, helper, pipeline, reports, traceio
+from . import defaults, reports, traceio
 from .errors import ArgumentError, BranchLabError, ConfigError, EmptyTargetError
 from .predictors import simulate
 from .records import BranchKind
@@ -163,6 +167,8 @@ def _cmd_sim(args) -> dict:
 
 
 def _cmd_h2p(args) -> dict:
+    from . import charax
+
     charax.require_at_least_one(args.slice_len, "slice_len")
     criteria = charax.H2PCriteria(args.max_acc, args.min_execs, args.min_mis)
     criteria.validate()
@@ -182,6 +188,8 @@ def _cmd_h2p(args) -> dict:
 
 
 def _cmd_hh(args) -> dict:
+    from . import charax
+
     _total, _predictor, stream = _simulate_for(args)
     report = charax.heavy_hitters(charax.per_ip_totals(stream))
     reports.write_heavy_hitters_csv(_out_dir(args) / "heavy_hitters.csv", report)
@@ -196,6 +204,8 @@ def _cmd_hh(args) -> dict:
 
 
 def _cmd_rare(args) -> dict:
+    from . import charax
+
     charax.require_at_least_one(args.bin_width, "bin_width")
     _total, _predictor, stream = _simulate_for(args)
     report = charax.rare_bins(charax.per_ip_totals(stream), args.bin_width)
@@ -210,6 +220,8 @@ def _cmd_rare(args) -> dict:
 
 
 def _cmd_recur(args) -> dict:
+    from . import charax
+
     records, _total = _load_branches(args.trace)
     report = charax.recurrence_intervals(records)
     reports.write_recurrence_csv(_out_dir(args) / "recurrence.csv", report)
@@ -221,17 +233,16 @@ def _cmd_recur(args) -> dict:
 
 
 def _cmd_deps(args) -> dict:
+    from . import depgraph
+
     instrs = traceio.load_instr_trace(args.trace)
-    dists = [
-        depgraph.find_dependency_branches(
-            instrs,
-            ip,
-            window=args.window,
-            direct_reads_only=args.direct_reads_only,
-            include_memory=not args.no_memory,
-        )
-        for ip in args.ip
-    ]
+    dists = depgraph.find_dependency_branches(
+        instrs,
+        args.ip,
+        window=args.window,
+        direct_reads_only=args.direct_reads_only,
+        include_memory=not args.no_memory,
+    )
     out = _out_dir(args)
     reports.write_deps_csv(out / "deps.csv", dists)
     reports.write_deps_summary_csv(out / "deps_summary.csv", dists)
@@ -254,6 +265,8 @@ def _cmd_deps(args) -> dict:
 
 
 def _cmd_regvals(args) -> dict:
+    from . import depgraph
+
     instrs = traceio.load_instr_trace(args.trace)
     tracked = _reg_list(args.regs)
     hists = [depgraph.regval_snapshots(instrs, ip, tracked=tracked, mask=args.mask)
@@ -271,8 +284,10 @@ def _cmd_regvals(args) -> dict:
     }
 
 
-def _model_config(args) -> pipeline.PipelineModelConfig:
+def _model_config(args):
     """The analytic machine, checked at every --scales entry."""
+    from . import pipeline
+
     config = pipeline.PipelineModelConfig(
         width=args.width, penalty=args.penalty, scaled_penalty=args.scaled_penalty
     )
@@ -281,6 +296,8 @@ def _model_config(args) -> pipeline.PipelineModelConfig:
 
 
 def _cmd_limit(args) -> dict:
+    from . import charax, pipeline
+
     oracles = [pipeline.PredictionOracle.perfect_min_execs(c) for c in args.cutoffs]
     if args.perfect_ips:
         oracles.append(pipeline.PredictionOracle.perfect_set(args.perfect_ips))
@@ -302,6 +319,8 @@ def _cmd_limit(args) -> dict:
 
 
 def _cmd_sweep(args) -> dict:
+    from . import pipeline
+
     records, total = _load_branches(args.trace)
     sweep = pipeline.storage_sweep(
         records,
@@ -321,6 +340,8 @@ def _cmd_sweep(args) -> dict:
 
 
 def _cmd_train_helper(args) -> dict:
+    from . import helper
+
     corpus = helper.TrainingCorpus()
     for item in args.trace:
         path, _, input_id = item.partition("=")
@@ -343,6 +364,7 @@ def _cmd_train_helper(args) -> dict:
 
 
 def _cmd_eval_helper(args) -> dict:
+    from . import helper
     from .predictors import make_predictor
 
     if args.tau is not None:
@@ -399,9 +421,9 @@ def build_parser() -> argparse.ArgumentParser:
     out = _flags(("--out", dict(default=None,
                                 help="output directory (default $BRANCHLAB_OUT or .)")))
     machine = _flags(
-        ("--scales", dict(type=_int_list, default=list(pipeline.DEFAULT_SCALES))),
-        ("--width", dict(type=int, default=pipeline.DEFAULT_WIDTH)),
-        ("--penalty", dict(type=int, default=pipeline.DEFAULT_PENALTY)),
+        ("--scales", dict(type=_int_list, default=list(defaults.DEFAULT_SCALES))),
+        ("--width", dict(type=int, default=defaults.DEFAULT_WIDTH)),
+        ("--penalty", dict(type=int, default=defaults.DEFAULT_PENALTY)),
         ("--scaled-penalty", dict(action="store_true")))
     ip = _flags(("--ip", dict(required=True, type=_parse_ip, action="append",
                               help="target branch ip (repeatable)")))
@@ -423,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("h2p", _cmd_h2p, "screen for hard-to-predict branches per slice", simulated,
                 "h2p_summary.json")
-    p.add_argument("--slice-len", type=int, default=charax.DEFAULT_SLICE_LEN)
+    p.add_argument("--slice-len", type=int, default=defaults.DEFAULT_SLICE_LEN)
     p.add_argument("--max-acc", type=float, default=0.99)
     p.add_argument("--min-execs", type=int, default=15_000)
     p.add_argument("--min-mis", type=int, default=1_000)
@@ -440,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("deps", _cmd_deps, "dependency branches of a target branch", [trace, ip, out],
                 "deps_summary.json")
-    p.add_argument("--window", type=int, default=depgraph.DEFAULT_WINDOW)
+    p.add_argument("--window", type=int, default=defaults.DEFAULT_WINDOW)
     p.add_argument("--direct-reads-only", action="store_true",
                    help="share on direct reads only, not full slices")
     p.add_argument("--no-memory", action="store_true",
@@ -449,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("regvals", _cmd_regvals, "pre-execution register values at a branch",
                 [trace, ip, out], "regvals_summary.json")
     p.add_argument("--regs", default="0-17", help="tracked registers, e.g. 0-17 or 0,3,5")
-    p.add_argument("--mask", type=lambda s: int(s, 0), default=depgraph.DEFAULT_VALUE_MASK)
+    p.add_argument("--mask", type=lambda s: int(s, 0), default=defaults.DEFAULT_VALUE_MASK)
 
     p = command("limit", _cmd_limit, "IPC opportunity under prediction oracles",
                 [*simulated, machine], "limit_summary.json")
@@ -466,11 +488,11 @@ def build_parser() -> argparse.ArgumentParser:
                 [ip])
     p.add_argument("--trace", required=True, action="append",
                    help="training trace, PATH or PATH=INPUT_ID (repeatable)")
-    p.add_argument("--kind", choices=(helper.PATTERN_TABLE, helper.PERCEPTRON),
-                   default=helper.PATTERN_TABLE)
+    p.add_argument("--kind", choices=(defaults.PATTERN_TABLE, defaults.PERCEPTRON),
+                   default=defaults.PATTERN_TABLE)
     p.add_argument("--history", type=int, default=16, help="history length h")
-    p.add_argument("--tau", type=float, default=helper.DEFAULT_TAU)
-    p.add_argument("--epochs", type=int, default=helper.DEFAULT_EPOCHS)
+    p.add_argument("--tau", type=float, default=defaults.DEFAULT_TAU)
+    p.add_argument("--epochs", type=int, default=defaults.DEFAULT_EPOCHS)
     p.add_argument("--out", required=True, help="output model file (.hm1)")
 
     p = command("eval-helper", _cmd_eval_helper, "evaluate helper models on a held-out trace",

@@ -33,13 +33,12 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
+from .defaults import DEFAULT_VALUE_MASK, DEFAULT_WINDOW
 from .errors import ArgumentError, EmptyTargetError
 from .records import BranchKind, InstructionRecord
 
 SOURCE = -1
-DEFAULT_WINDOW = 5000
 DEFAULT_TRACKED_REGS = tuple(range(18))
-DEFAULT_VALUE_MASK = 0xFFFFFFFF
 
 Location = tuple[str, int]          # ("r", register id) | ("m", address)
 ValueInstance = tuple[int, Location]
@@ -251,34 +250,38 @@ class DependencyDistribution:
 
 def find_dependency_branches(
     records: Sequence[InstructionRecord],
-    h2p_ip: int,
+    h2p_ips: Sequence[int],
     window: int = DEFAULT_WINDOW,
     direct_reads_only: bool = False,
     include_memory: bool = True,
-) -> DependencyDistribution:
-    """Scan the trace; at every execution of ``h2p_ip`` find the prior COND
-    branches (within ``window`` instructions) whose backward slice shares a
-    ValueInstance with the target's slice, and record their global-history
-    positions."""
+) -> list[DependencyDistribution]:
+    """Scan the trace once; at every execution of each ip of ``h2p_ips``
+    find the prior COND branches (within ``window`` instructions) whose
+    backward slice shares a ValueInstance with the target's slice, and
+    record their global-history positions. One distribution per ip, in
+    argument order; the first ip that never executes as a COND branch is
+    an EmptyTargetError."""
     win = DefUseWindow(window, include_memory=include_memory)
     index = CondSliceIndex()
-    positions: dict[int, dict[int, int]] = {}
-    executions = 0
+    positions: dict[int, dict[int, dict[int, int]]] = {ip: {} for ip in h2p_ips}
+    executions = dict.fromkeys(positions, 0)
     for rec in records:
         direct, full = win.push(rec)
         cut = rec.seq - window
         index.expire(cut)
         if rec.is_branch and rec.kind is BranchKind.COND:
             own = direct if direct_reads_only else full
-            if rec.ip == h2p_ip:
-                executions += 1
+            found = positions.get(rec.ip)
+            if found is not None:
+                executions[rec.ip] += 1
                 for ip, pos in index.matches(own, cut):
-                    hist = positions.setdefault(ip, {})
+                    hist = found.setdefault(ip, {})
                     hist[pos] = hist.get(pos, 0) + 1
             index.add(rec.seq, rec.ip, own)
-    if executions == 0:
-        raise EmptyTargetError(f"{h2p_ip:#x} never executes as a COND branch")
-    return DependencyDistribution(h2p_ip, window, executions, positions)
+    for ip in h2p_ips:
+        if executions[ip] == 0:
+            raise EmptyTargetError(f"{ip:#x} never executes as a COND branch")
+    return [DependencyDistribution(ip, window, executions[ip], positions[ip]) for ip in h2p_ips]
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,7 @@ import zlib
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from .defaults import DEFAULT_EPOCHS, DEFAULT_TAU, PATTERN_TABLE, PERCEPTRON
 from .errors import (
     ArgumentError,
     ConfigError,
@@ -42,15 +43,11 @@ from .records import BranchKind, BranchRecord
 HM1_MAGIC = b"HM01"
 HM1_VERSION = 1
 
-PATTERN_TABLE = "pattern-table"
-PERCEPTRON = "perceptron"
 _KIND_CODES = {PATTERN_TABLE: 0, PERCEPTRON: 1}
 _CODE_KINDS = {v: k for k, v in _KIND_CODES.items()}
 
 MAX_HISTORY = 64
 MIN_TRAINING_SAMPLES = 1000
-DEFAULT_TAU = 0.7
-DEFAULT_EPOCHS = 20
 _WEIGHT_MIN, _WEIGHT_MAX = -32768, 32767   # i16 storage bound
 
 

@@ -19,12 +19,9 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from .charax import IpStats, per_ip_totals
+from .defaults import DEFAULT_PENALTY, DEFAULT_SCALES, DEFAULT_WIDTH
 from .errors import ArgumentError, EmptyTargetError
 from .records import BranchRecord
-
-DEFAULT_WIDTH = 4
-DEFAULT_PENALTY = 20
-DEFAULT_SCALES = (1, 2, 4, 8, 16, 32)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ _LAZY = {
         ("presets", "PRESET_NAMES estimate_storage load_predictor_config make_predictor"),
         ("sc", "CorrectorConfig StatisticalCorrector"),
         ("simple", "AlwaysTaken Bimodal Gshare"),
-        ("tage", "AllocationStats Tage TageConfig TageLookup"),
+        ("tage", "AllocationStats Tage TageConfig"),
     )
     for name in names.split()
 }

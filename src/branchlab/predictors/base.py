@@ -3,15 +3,10 @@
 Every predictor exposes:
 
 * ``step(record) -> (predicted, provider) | None``: predict-then-update for
-  one record, returning the prediction made for COND records. Non-COND
-  branches may still shift path history; only COND records train
-  direction state.
+  one record, returning the prediction made for COND records and the
+  component that made it. Non-COND branches may still shift path history;
+  only COND records train direction state.
 * ``storage_bytes() -> int``: modeled hardware budget of the table state.
-
-The default ``step`` is ``predict(ip) -> (taken, confidence)``, pure and
-with confidence an int in [0, 3], then ``update(record)``. A predictor that
-shares work between the two overrides ``step`` instead, and need not have
-them.
 
 A predictor may also expose ``replay(records)``, yielding (record,
 predicted, provider) per COND record with the same results and end state
@@ -21,28 +16,17 @@ as ``step`` on each record; ``simulate`` uses it when present.
 from __future__ import annotations
 
 from ..errors import ConfigError
-from ..records import BranchKind, BranchRecord
+from ..records import BranchRecord
 
 
 class ConditionalPredictor:
     name = "predictor"
 
-    def predict(self, ip: int) -> tuple[bool, int]:
-        raise NotImplementedError
-
-    def update(self, record: BranchRecord) -> None:
+    def step(self, record: BranchRecord) -> tuple[bool, str] | None:
         raise NotImplementedError
 
     def storage_bytes(self) -> int:
         raise NotImplementedError
-
-    def step(self, record: BranchRecord) -> tuple[bool, str] | None:
-        out = None
-        if record.kind is BranchKind.COND:
-            taken, _ = self.predict(record.ip)
-            out = (taken, self.name)
-        self.update(record)
-        return out
 
 
 def require_pow2(n: int, what: str) -> int:

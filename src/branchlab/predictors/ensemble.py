@@ -18,7 +18,7 @@ from ..records import BranchKind, BranchRecord
 from .base import ConditionalPredictor
 from .loop import LoopPredictor
 from .sc import WINDOWS, CorrectorConfig, StatisticalCorrector, mirror
-from .tage import Tage, TageConfig, provider_name
+from .tage import Tage, TageConfig
 
 _SC_WINDOW = max(WINDOWS)
 
@@ -40,23 +40,21 @@ class EnsembleConfig:
         )
 
 
-def resolve_budget(budget: int | str) -> int:
-    if isinstance(budget, str):
-        text = budget.strip().lower()
-        try:
-            if text.endswith("kb"):
-                return int(text[:-2]) * 1024
-            if text.endswith("b"):
-                return int(text[:-1])
-            return int(text)
-        except ValueError:
-            raise ConfigError(f"unparseable storage budget {budget!r}") from None
-    return int(budget)
+def resolve_budget(budget: str) -> int:
+    """Bytes of a budget string: ``8kb`` (x1024), ``8192b`` or ``8192``."""
+    text = budget.strip().lower()
+    try:
+        if text.endswith("kb"):
+            return int(text[:-2]) * 1024
+        if text.endswith("b"):
+            return int(text[:-1])
+        return int(text)
+    except ValueError:
+        raise ConfigError(f"unparseable storage budget {budget!r}") from None
 
 
-def ensemble_config(budget: int | str = 8192) -> EnsembleConfig:
+def ensemble_config(budget_bytes: int = 8192) -> EnsembleConfig:
     """Geometry for a storage budget on the {8KB * 2^k} grid."""
-    budget_bytes = resolve_budget(budget)
     if budget_bytes >= 65536:
         anchor, mult = 65536, budget_bytes // 65536
         tables, max_hist = 15, 3000
@@ -122,26 +120,25 @@ class TageSCL(ConditionalPredictor):
         ``items``, (record, TAGE indices, TAGE tags, newest direction bits)
         in retirement order, yielding (record, predicted, provider); the
         caller retires the history. A confident loop entry overrides
-        everything; otherwise the corrector arbitrates the TAGE output."""
-        tage, sc, loop = self.tage, self.sc, self.loop
-        lookup, tage_train = tage._lookup, tage.train
-        decide, sc_train = sc.decide, sc.train
-        loop_prediction, loop_update = loop.prediction, loop.update
+        everything; otherwise the corrector arbitrates the TAGE output.
+        The components share no state, so TAGE trains first: the corrector
+        needs only its (taken, conf)."""
+        walk = self.tage.walk
+        decide, sc_train = self.sc.decide, self.sc.train
+        loop_retire = self.loop.retire
         for record, indices, tags, history_bits in items:
-            ip = record.ip
-            info = lookup(ip, indices, tags)
+            ip, outcome = record.ip, record.taken
+            tage_taken, conf, provider = walk(ip, indices, tags, outcome)
             history = mirror(history_bits)
-            total, overrode = decide(ip, info.taken, info.conf, history)
-            predicted = loop_prediction(ip)
+            total, overrode = decide(ip, tage_taken, conf, history)
+            predicted = loop_retire(ip, outcome)
             if predicted is not None:
                 provider = "loop"
             elif overrode:
-                predicted, provider = not info.taken, "sc"
+                predicted, provider = not tage_taken, "sc"
             else:
-                predicted, provider = info.taken, provider_name(info)
-            loop_update(record)
-            sc_train(ip, info.taken, history, total, overrode, record.taken)
-            tage_train(record, info)
+                predicted = tage_taken
+            sc_train(ip, tage_taken, history, total, overrode, outcome)
             yield record, predicted, provider
 
     def allocation_telemetry(self):

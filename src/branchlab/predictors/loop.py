@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..records import BranchKind, BranchRecord
 from .base import require_pow2
 
 # per-entry field widths, bits: tag 10, past 12, current 12, conf 2, age 3
@@ -33,52 +32,44 @@ class LoopEntry:
 class LoopPredictor:
     def __init__(self, entries: int = 64):
         self.entries = require_pow2(entries, "loop entries")
-        self._idx_bits = entries.bit_length() - 1
+        self._idx_mask = entries - 1
+        self._tag_shift = 2 + entries.bit_length() - 1
         self.table = [LoopEntry() for _ in range(entries)]
 
-    def _slot(self, ip: int) -> tuple[LoopEntry, int]:
-        idx = (ip >> 2) & (self.entries - 1)
-        tag = (ip >> (2 + self._idx_bits)) & _TAG_MASK
-        return self.table[idx], tag
-
-    def prediction(self, ip: int) -> bool | None:
-        """The direction of ``ip``'s next retirement when a confident entry
-        holds it, else None."""
-        entry, tag = self._slot(ip)
-        if entry.tag != tag or entry.past == 0 or entry.conf < 3:
-            return None
-        # exit iteration: the (past)th retirement of the instance falls out
-        return entry.current + 1 != entry.past
-
-    def update(self, record: BranchRecord) -> None:
-        if record.kind is not BranchKind.COND:
-            return
-        entry, tag = self._slot(record.ip)
+    def retire(self, ip: int, taken: bool) -> bool | None:
+        """The direction a confident entry predicts for this COND
+        retirement of ``ip`` (None when no entry is confident), then the
+        entry's update with the outcome ``taken``."""
+        entry = self.table[(ip >> 2) & self._idx_mask]
+        tag = (ip >> self._tag_shift) & _TAG_MASK
         if entry.tag != tag:
             if entry.tag != -1 and entry.age > 0:
                 entry.age -= 1
-                return
+                return None
             # claim the slot; a not-taken first observation gives no streak
             entry.tag = tag
             entry.past = 0
-            entry.current = 1 if record.taken else 0
+            entry.current = 1 if taken else 0
             entry.conf = 0
             entry.age = _FRESH_AGE
-            return
+            return None
+        past, observed = entry.past, entry.current + 1
+        # exit iteration: the (past)th retirement of the instance falls out
+        predicted = None if past == 0 or entry.conf < 3 else observed != past
         entry.age = _FRESH_AGE
-        if record.taken:
-            entry.current += 1
-            if entry.current > _MAX_TRIP:
+        if taken:
+            entry.current = observed
+            if observed > _MAX_TRIP:
                 # runaway streak: not loop-shaped, release the entry
                 entry.tag = -1
-            return
-        observed = entry.current + 1
+            return predicted
         entry.current = 0
-        if entry.past == observed:
+        if past == observed:
             entry.conf = min(3, entry.conf + 1)
         else:
             entry.past = observed
             entry.conf = 1
+        return predicted
 
     def storage_bytes(self) -> int:
         return self.entries * ENTRY_BITS // 8

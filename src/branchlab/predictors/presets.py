@@ -111,7 +111,7 @@ def make_predictor(spec: str | dict, seed: int = 0) -> ConditionalPredictor:
                 base_entries=_int(spec, "base_entries", 4096, count=True),
             )
         return Tage(cfg, seed=seed)
-    return TageSCL(ensemble_config(str(spec.get("budget", "8kb"))), seed=seed)
+    return TageSCL(ensemble_config(resolve_budget(str(spec.get("budget", "8kb")))), seed=seed)
 
 
 def load_predictor_config(path: str | Path) -> dict[str, str]:

@@ -4,18 +4,15 @@ from __future__ import annotations
 
 from ..errors import ConfigError
 from ..records import BranchKind, BranchRecord
-from .base import ConditionalPredictor, clamp, counter_confidence, require_pow2
+from .base import ConditionalPredictor, clamp, require_pow2
 from .history import GlobalHistory, fold_history
 
 
 class AlwaysTaken(ConditionalPredictor):
     name = "always-taken"
 
-    def predict(self, ip: int) -> tuple[bool, int]:
-        return True, 3
-
-    def update(self, record: BranchRecord) -> None:
-        pass
+    def step(self, record: BranchRecord) -> tuple[bool, str] | None:
+        return (True, self.name) if record.kind is BranchKind.COND else None
 
     def storage_bytes(self) -> int:
         return 0
@@ -33,18 +30,13 @@ class Bimodal(ConditionalPredictor):
         self._mask = entries - 1
         self.table = [1] * entries
 
-    def _index(self, ip: int) -> int:
-        return (ip >> 2) & self._mask
-
-    def predict(self, ip: int) -> tuple[bool, int]:
-        c = self.table[self._index(ip)]
-        return c >= 2, counter_confidence(c, 3)
-
-    def update(self, record: BranchRecord) -> None:
+    def step(self, record: BranchRecord) -> tuple[bool, str] | None:
         if record.kind is not BranchKind.COND:
-            return
-        i = self._index(record.ip)
-        self.table[i] = clamp(self.table[i] + (1 if record.taken else -1), 0, 3)
+            return None
+        i = (record.ip >> 2) & self._mask
+        c = self.table[i]
+        self.table[i] = clamp(c + (1 if record.taken else -1), 0, 3)
+        return c >= 2, self.name
 
     def storage_bytes(self) -> int:
         return self.entries * 2 // 8
@@ -65,21 +57,16 @@ class Gshare(ConditionalPredictor):
         self.table = [1] * entries
         self.history = GlobalHistory(self.history_length)
 
-    def _index(self, ip: int) -> int:
+    def step(self, record: BranchRecord) -> tuple[bool, str] | None:
+        if record.kind is not BranchKind.COND:
+            return None
         folded = fold_history(self.history.window(self.history_length),
                               self.history_length, self.index_bits)
-        return ((ip >> 2) ^ folded) & self._mask
-
-    def predict(self, ip: int) -> tuple[bool, int]:
-        c = self.table[self._index(ip)]
-        return c >= 2, counter_confidence(c, 3)
-
-    def update(self, record: BranchRecord) -> None:
-        if record.kind is not BranchKind.COND:
-            return
-        i = self._index(record.ip)
-        self.table[i] = clamp(self.table[i] + (1 if record.taken else -1), 0, 3)
+        i = ((record.ip >> 2) ^ folded) & self._mask
+        c = self.table[i]
+        self.table[i] = clamp(c + (1 if record.taken else -1), 0, 3)
         self.history.push_direction(record.taken)
+        return c >= 2, self.name
 
     def storage_bytes(self) -> int:
         return self.entries * 2 // 8

@@ -19,7 +19,7 @@ import numpy as np
 
 from ..errors import ConfigError
 from ..records import BranchKind, BranchRecord
-from .base import ConditionalPredictor, clamp, counter_confidence, require_pow2
+from .base import ConditionalPredictor, counter_confidence, require_pow2
 from .history import FoldedRegister, GlobalHistory, fold_history, fold_trace
 
 # use-alt heuristic: entry counts as newly allocated for this many updates
@@ -33,6 +33,17 @@ PATH_MIX_BITS = 32
 TRACE_BLOCK = 1 << 14
 # pc bits kept for the numpy hashes; indices and tags read far fewer
 _PC_MASK = (1 << 62) - 1
+
+# Counter tables, read by [counter] and [counter][outcome]. A tagged
+# counter c >= 0 sits at index c and a negative one c places from the end,
+# so the signed counter itself is the index. Base counters are unsigned.
+_CTR_MIN, _CTR_MAX = -(1 << (COUNTER_BITS - 1)), (1 << (COUNTER_BITS - 1)) - 1
+_CTR_AT = (*range(0, _CTR_MAX + 1), *range(_CTR_MIN, 0))
+_CTR_CONF = tuple(min(3, abs(2 * c + 1) // 2) for c in _CTR_AT)
+_CTR_NEXT = tuple((max(c - 1, _CTR_MIN), min(c + 1, _CTR_MAX)) for c in _CTR_AT)
+_BASE_CONF = tuple(counter_confidence(c, 3) for c in range(4))
+_BASE_NEXT = tuple((max(c - 1, 0), min(c + 1, 3)) for c in range(4))
+_USEFUL_MAX = (1 << USEFUL_BITS) - 1
 
 
 @dataclass(frozen=True)
@@ -94,24 +105,6 @@ class TageConfig:
         return bits // 8
 
 
-# Per-branch lookup results are not frozen: a frozen dataclass spends a few
-# microseconds per construction, once per simulated branch.
-@dataclass(slots=True)
-class TageLookup:
-    """Everything one table walk learns about an ip, reused by update()."""
-
-    taken: bool
-    conf: int
-    provider: int          # tagged table index, -1 = base bimodal
-    provider_taken: bool
-    provider_weak: bool
-    alt_taken: bool
-    used_alt: bool
-    indices: list[int]
-    tags: list[int]
-    base_index: int
-
-
 @dataclass(frozen=True, slots=True)
 class AllocationStats:
     total_allocations: int
@@ -128,9 +121,6 @@ class Tage(ConditionalPredictor):
         self.lengths = cfg.history_lengths()
         self.tag_widths = cfg.tag_widths()
         self.index_bits = cfg.entries_per_table.bit_length() - 1
-        self.ctr_min = -(1 << (COUNTER_BITS - 1))
-        self.ctr_max = (1 << (COUNTER_BITS - 1)) - 1
-        self.u_max = (1 << USEFUL_BITS) - 1
         n = cfg.num_tagged_tables
         e = cfg.entries_per_table
         self.tags = [[-1] * e for _ in range(n)]
@@ -153,8 +143,10 @@ class Tage(ConditionalPredictor):
         self._longest_first = range(n - 1, -1, -1)
         self._tag_masks = [(1 << w) - 1 for w in self.tag_widths]
         self._pc_shifts = [abs(self.index_bits - i) + 1 for i in range(n)]
+        self._last_table = n - 1
+        self._labels = tuple(f"tage{i}" for i in range(n))
 
-    # ------------------------------------------------------------ lookup
+    # ------------------------------------------------------------ hashes
 
     def _indices_tags(self, ip: int) -> tuple[list[int], list[int]]:
         pc = ip >> 2
@@ -169,16 +161,22 @@ class Tage(ConditionalPredictor):
             tags.append((pc ^ f0.comp ^ (f1.comp << 1)) & tag_mask)
         return indices, tags
 
-    def lookup(self, ip: int) -> TageLookup:
-        """Pure table walk: longest tag match provides, next longest (or the
-        base table) is the alternate."""
-        indices, tags = self._indices_tags(ip)
-        return self._lookup(ip, indices, tags)
+    # ------------------------------------------------------------ walk
 
-    def _lookup(self, ip: int, indices: list[int], tags: list[int]) -> TageLookup:
-        provider = -1
-        alt = -1
+    def walk(self, ip: int, indices: list[int], tags: list[int],
+             outcome: bool) -> tuple[bool, int, str]:
+        """Predict and train one COND retirement of ``ip`` whose table
+        indices and tags are given, returning (taken, conf, provider).
+
+        The longest tag match provides and the next longest (or the base
+        table) is the alternate; a weak, newly allocated provider defers to
+        the alternate ("alt"). Then the provider's counter, usefulness and
+        freshness train toward ``outcome``, and so does the base while it
+        provides or a weak entry covers it. A misprediction allocates in
+        longer tables. History is retired separately, so an ensemble can
+        share one GlobalHistory shift per branch."""
         table_tags = self.tags
+        provider = alt = -1
         for i in self._longest_first:
             if table_tags[i][indices[i]] == tags[i]:
                 if provider < 0:
@@ -186,72 +184,49 @@ class Tage(ConditionalPredictor):
                 else:
                     alt = i
                     break
-        base_index = (ip >> 2) & self._base_mask
-        base_ctr = self.base[base_index]
+        base = self.base
+        b = (ip >> 2) & self._base_mask
+        base_ctr = base[b]
         base_taken = base_ctr >= 2
         if provider < 0:
-            return TageLookup(
-                taken=base_taken, conf=counter_confidence(base_ctr, 3),
-                provider=-1, provider_taken=base_taken, provider_weak=base_ctr in (1, 2),
-                alt_taken=base_taken, used_alt=False,
-                indices=indices, tags=tags, base_index=base_index,
-            )
-        ctr = self.ctrs[provider][indices[provider]]
-        provider_taken = ctr >= 0
-        provider_weak = ctr in (0, -1)
-        if alt >= 0:
-            alt_ctr = self.ctrs[alt][indices[alt]]
-            alt_taken = alt_ctr >= 0
-            alt_conf = min(3, abs(2 * alt_ctr + 1) // 2)
+            taken, conf, label = base_taken, _BASE_CONF[base_ctr], "base"
+            base[b] = _BASE_NEXT[base_ctr][outcome]
         else:
-            alt_taken = base_taken
-            alt_conf = counter_confidence(base_ctr, 3)
-        newly = self.fresh[provider][indices[provider]] > 0
-        used_alt = newly and provider_weak
-        if used_alt:
-            return TageLookup(
-                taken=alt_taken, conf=alt_conf,
-                provider=provider, provider_taken=provider_taken, provider_weak=provider_weak,
-                alt_taken=alt_taken, used_alt=True,
-                indices=indices, tags=tags, base_index=base_index,
-            )
-        return TageLookup(
-            taken=provider_taken, conf=min(3, abs(2 * ctr + 1) // 2),
-            provider=provider, provider_taken=provider_taken, provider_weak=provider_weak,
-            alt_taken=alt_taken, used_alt=False,
-            indices=indices, tags=tags, base_index=base_index,
-        )
-
-    def predict(self, ip: int) -> tuple[bool, int]:
-        info = self.lookup(ip)
-        return info.taken, info.conf
-
-    # ------------------------------------------------------------ update
-
-    def update(self, record: BranchRecord) -> None:
-        self.step(record)
-
-    def train(self, record: BranchRecord, info: TageLookup) -> None:
-        """Table updates for a COND outcome; history is retired separately so
-        an ensemble can share one GlobalHistory shift per branch."""
-        outcome = record.taken
-        p = info.provider
-        if p >= 0:
-            idx = info.indices[p]
-            if self.fresh[p][idx] > 0:
-                self.fresh[p][idx] -= 1
-            if info.provider_taken != info.alt_taken:
-                u = self.useful[p][idx]
-                self.useful[p][idx] = clamp(u + (1 if info.provider_taken == outcome else -1), 0, self.u_max)
-            self.ctrs[p][idx] = clamp(self.ctrs[p][idx] + (1 if outcome else -1), self.ctr_min, self.ctr_max)
+            idx = indices[provider]
+            ctrs = self.ctrs[provider]
+            ctr = ctrs[idx]
+            provider_taken = ctr >= 0
+            provider_weak = ctr == 0 or ctr == -1
+            if alt >= 0:
+                alt_ctr = self.ctrs[alt][indices[alt]]
+                alt_taken = alt_ctr >= 0
+            else:
+                alt_taken = base_taken
+            fresh = self.fresh[provider]
+            newly = fresh[idx] > 0
+            if newly and provider_weak:
+                taken, label = alt_taken, "alt"
+                conf = _CTR_CONF[alt_ctr] if alt >= 0 else _BASE_CONF[base_ctr]
+            else:
+                taken, conf, label = provider_taken, _CTR_CONF[ctr], self._labels[provider]
+            if newly:
+                fresh[idx] -= 1
+            if provider_taken != alt_taken:
+                useful = self.useful[provider]
+                u = useful[idx]
+                if provider_taken == outcome:
+                    if u < _USEFUL_MAX:
+                        useful[idx] = u + 1
+                elif u:
+                    useful[idx] = u - 1
+            ctrs[idx] = _CTR_NEXT[ctr][outcome]
             # keep the base trained while a weak provider covers the branch,
             # so fallback after eviction is not stale
-            if info.provider_weak:
-                self.base[info.base_index] = clamp(self.base[info.base_index] + (1 if outcome else -1), 0, 3)
-        else:
-            self.base[info.base_index] = clamp(self.base[info.base_index] + (1 if outcome else -1), 0, 3)
-        if info.taken != outcome and p < self.config.num_tagged_tables - 1:
-            self._allocate(record.ip, info, outcome)
+            if provider_weak:
+                base[b] = _BASE_NEXT[base_ctr][outcome]
+        if taken != outcome and provider < self._last_table:
+            self._allocate(ip, indices, tags, provider, outcome)
+        return taken, conf, label
 
     def retire_history(self, record: BranchRecord) -> None:
         bit = 1 if record.taken else 0
@@ -263,29 +238,34 @@ class Tage(ConditionalPredictor):
         h.push_direction(record.taken)
         h.push_path(record.ip)
 
-    def _allocate(self, ip: int, info: TageLookup, outcome: bool) -> None:
-        start = info.provider + 1
+    def _allocate(self, ip: int, indices: list[int], tags: list[int],
+                  provider: int, outcome: bool) -> None:
+        start = provider + 1
         n = self.config.num_tagged_tables
-        candidates = [j for j in range(start, n) if self.useful[j][info.indices[j]] == 0]
+        useful = self.useful
+        candidates = [j for j in range(start, n) if useful[j][indices[j]] == 0]
         if not candidates:
             # reallocation pressure: age every longer-history entry
             for j in range(start, n):
-                idx = info.indices[j]
-                if self.useful[j][idx] > 0:
-                    self.useful[j][idx] -= 1
+                idx = indices[j]
+                if useful[j][idx] > 0:
+                    useful[j][idx] -= 1
             return
         chosen = [self.rng.choice(candidates)]
-        if info.provider >= 0 and len(candidates) > 1 and self.rng.random() < 0.5:
+        if provider >= 0 and len(candidates) > 1 and self.rng.random() < 0.5:
             rest = [j for j in candidates if j != chosen[0]]
             chosen.append(self.rng.choice(rest))
+        sites = self.alloc_sites.get(ip)
+        if sites is None:
+            sites = self.alloc_sites[ip] = set()
         for j in chosen:
-            idx = info.indices[j]
-            self.tags[j][idx] = info.tags[j]
+            idx = indices[j]
+            self.tags[j][idx] = tags[j]
             self.ctrs[j][idx] = 0 if outcome else -1
-            self.useful[j][idx] = 0
+            useful[j][idx] = 0
             self.fresh[j][idx] = FRESH_UPDATES
-            self.alloc_total[ip] = self.alloc_total.get(ip, 0) + 1
-            self.alloc_sites.setdefault(ip, set()).add((j, idx))
+            sites.add((j, idx))
+        self.alloc_total[ip] = self.alloc_total.get(ip, 0) + len(chosen)
 
     # ------------------------------------------------------------ misc
 
@@ -293,19 +273,19 @@ class Tage(ConditionalPredictor):
         if record.kind is not BranchKind.COND:
             self.history.push_path(record.ip)
             return None
-        info = self.lookup(record.ip)
-        self.train(record, info)
+        indices, tags = self._indices_tags(record.ip)
+        taken, _, provider = self.walk(record.ip, indices, tags, record.taken)
         self.retire_history(record)
-        return info.taken, provider_name(info)
+        return taken, provider
 
     def replay(self, records: Sequence[BranchRecord]) -> Iterator[tuple[BranchRecord, bool, str]]:
         """step() over every record, yielding (record, predicted, provider)
         per COND record. History comes from retire_trace, so only the table
-        walks and training run per record."""
+        walks run per record."""
+        walk = self.walk
         for record, indices, tags, _ in self.retire_trace(records):
-            info = self._lookup(record.ip, indices, tags)
-            self.train(record, info)
-            yield record, info.taken, provider_name(info)
+            taken, _, provider = walk(record.ip, indices, tags, record.taken)
+            yield record, taken, provider
 
     # ------------------------------------------------------------ whole trace
 
@@ -315,14 +295,14 @@ class Tage(ConditionalPredictor):
         """Retire the direction and path history of a whole trace at once.
 
         In a trace-driven run the history before every branch depends on
-        the trace alone. So the table indices and tags that lookup() would
+        the trace alone. So the table indices and tags that step() would
         hash before each COND record, and the newest ``window`` direction
         bits (bit 0 newest; 0 when ``window`` is 0), are computed with
         numpy for the whole trace. On return the history and the folded
         registers already hold the state after the last record. The
         returned iterator yields (record, indices, tags, window_bits) per
-        COND record in order; a lookup and train per element, in that
-        order, leaves every table as step() over each record would.
+        COND record in order; a walk() per element, in that order, leaves
+        every table as step() over each record would.
         """
         h = self.history
         cap = h.capacity
@@ -406,9 +386,3 @@ class Tage(ConditionalPredictor):
     def storage_bytes(self) -> int:
         return self.config.storage_bytes()
 
-
-def provider_name(info: TageLookup) -> str:
-    """The component that supplied a TAGE prediction: base, alt or tageN."""
-    if info.provider < 0:
-        return "base"
-    return "alt" if info.used_alt else f"tage{info.provider}"

@@ -120,15 +120,3 @@ class TraceMeta:
     seed: int | None = None
     program_spec_id: str | None = None
 
-
-def branch_trace_meta(records: list[BranchRecord], fmt: str = "BT1") -> TraceMeta:
-    """Meta for a branch trace. A BT1 stream does not record the total
-    instruction count, so ``instructions`` is inferred as last seq + 1."""
-    cond = sum(1 for r in records if r.kind is BranchKind.COND)
-    instructions = records[-1].seq + 1 if records else 0
-    return TraceMeta(fmt, instructions, len(records), cond)
-
-
-def instr_trace_meta(records: list[InstructionRecord], fmt: str = "IT1") -> TraceMeta:
-    cond = sum(1 for r in records if r.is_branch and r.kind is BranchKind.COND)
-    return TraceMeta(fmt, len(records), len(records), cond)

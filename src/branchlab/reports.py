@@ -9,18 +9,12 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .charax import (
-    H2PReport,
-    HeavyHitterReport,
-    RareBinReport,
-    RecurrenceReport,
-    SliceStats,
-    decade_bin,
-)
-from .depgraph import DependencyDistribution, RegValueHistogram
-from .pipeline import OpportunityCurve, StorageSweepResult
+if TYPE_CHECKING:   # a writer loads no analysis layer; its caller has
+    from .charax import H2PReport, HeavyHitterReport, RareBinReport, RecurrenceReport, SliceStats
+    from .depgraph import DependencyDistribution, RegValueHistogram
+    from .pipeline import OpportunityCurve, StorageSweepResult
 
 H2P_HEADER = ("slice", "ip", "executions", "mispredictions", "accuracy")
 HH_HEADER = ("rank", "ip", "mispredictions", "cumulative_fraction")
@@ -87,6 +81,8 @@ def write_rare_bins_csv(path, report: RareBinReport) -> None:
 
 
 def write_recurrence_csv(path, report: RecurrenceReport) -> None:
+    from .charax import decade_bin
+
     rows = []
     for ip in sorted(report.per_ip):
         st = report.per_ip[ip]

@@ -291,7 +291,7 @@ def _random_instr_trace(seed, n=50_000):
 def test_criterion_06_windowed_dependencies_match_oracle():
     for seed in range(1, 101):
         records = _random_instr_trace(seed)
-        got = find_dependency_branches(records, DEP_TARGET, window=5_000)
+        (got,) = find_dependency_branches(records, [DEP_TARGET], window=5_000)
         want = oracle_dependencies(records, DEP_TARGET, window=5_000)
         assert got.executions == want.executions, f"seed {seed}"
         assert got.positions == want.positions, f"seed {seed}"
@@ -310,7 +310,7 @@ def test_criterion_06_planted_gate_is_top_dependency():
     hits = 0
     for seed in range(1, 21):
         records, _ = generate_trace(spec, seed=seed, length=20_000)
-        dist = find_dependency_branches(records, 0x400100, window=5_000)
+        (dist,) = find_dependency_branches(records, [0x400100], window=5_000)
         hits += dist.top_dependency() == 0x400200
     assert hits >= 19        # at least 95% of seeds
 

@@ -10,8 +10,6 @@ from branchlab.charax import (
     H2PCriteria,
     IpStats,
     accumulate_slice_stats,
-    accuracy_excluding,
-    cross_input_h2p,
     decade_bin,
     h2p_report,
     heavy_hitters,
@@ -200,24 +198,6 @@ class TestHeavyHitters:
     def test_negative_rejected(self):
         with pytest.raises(ArgumentError):
             heavy_hitters(mispredicted({0x10: -1}))
-
-
-class TestCrossInput:
-    def test_k_of_n(self):
-        sets = [{1, 2}, {2, 3}, {2, 4, 1}]
-        assert cross_input_h2p(sets, 3) == {2}
-        assert cross_input_h2p(sets, 2) == {1, 2}
-        assert cross_input_h2p(sets, 1) == {1, 2, 3, 4}
-        with pytest.raises(ArgumentError):
-            cross_input_h2p(sets, 0)
-
-
-class TestAccuracyExcluding:
-    def test_excision(self):
-        table = {0x10: IpStats(100, 50), 0x20: IpStats(100, 0)}
-        assert accuracy_excluding(table, set()) == 0.75
-        assert accuracy_excluding(table, {0x10}) == 1.0
-        assert accuracy_excluding(table, {0x10, 0x20}) is None
 
 
 class TestRareBins:

@@ -691,15 +691,16 @@ def test_unrecognized_stream_is_one_line_data_error(command, helper_ws, tmp_path
         assert not out.exists()
 
 
-# run one command in a fresh interpreter, then name the heavy modules it loaded
-_IMPORT_PROBE = (
-    "import sys\n"
-    "from branchlab.cli import main\n"
-    "code = main(sys.argv[1:])\n"
-    "print(' '.join(m for m in ('numpy', 'branchlab.synth', 'branchlab.predictors.tage')\n"
-    "               if m in sys.modules))\n"
-    "sys.exit(code)\n"
-)
+def _run_probe(argv, modules):
+    """Run one command in a fresh interpreter; (exit code, stderr, the
+    names of ``modules`` it loaded, space-separated, in that order)."""
+    probe = ("import sys\n"
+             "from branchlab.cli import main\n"
+             "code = main(sys.argv[1:])\n"
+             f"print(' '.join(m for m in {tuple(modules)!r} if m in sys.modules))\n"
+             "sys.exit(code)\n")
+    proc = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True, text=True)
+    return proc.returncode, proc.stderr, proc.stdout.rstrip("\n")
 
 
 @pytest.mark.parametrize("command, loaded", [
@@ -710,10 +711,37 @@ def test_commands_load_only_the_layers_they_run(command, loaded, ws, tmp_path):
     """recur, deps, regvals and train-helper never import numpy, the
     generator or the predictors; sim, which builds a predictor, does."""
     argv = _reading_argv(command, ws["it1b"], tmp_path / "out", None)
-    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, *argv],
-                          capture_output=True, text=True)
-    assert (proc.returncode, proc.stderr) == (0, "")
-    assert proc.stdout == f"{loaded}\n"
+    modules = ("numpy", "branchlab.synth", "branchlab.predictors.tage")
+    assert _run_probe(argv, modules) == (0, "", loaded)
+
+
+@pytest.mark.parametrize("command, loaded", [
+    ("gen", "synth numpy"),
+    ("sim", "numpy"),
+    ("h2p", "charax numpy"),
+    ("hh", "charax numpy"),
+    ("rare", "charax numpy"),
+    ("recur", "charax"),
+    ("deps", "depgraph"),
+    ("regvals", "depgraph"),
+    ("limit", "charax pipeline numpy"),
+    ("sweep", "charax pipeline numpy"),
+    ("train-helper", "helper"),
+    ("eval-helper", "charax helper numpy"),
+])
+def test_each_command_loads_only_its_layers(command, loaded, ws, helper_ws, tmp_path):
+    """Of the analysis layers, the generator and numpy, a command loads
+    only those its handler runs: sim none of the four analysis layers,
+    deps and regvals only depgraph, and no command but gen the generator."""
+    if command == "gen":
+        argv = ["gen", "--spec", str(ws["spec"]), "--len", "500",
+                "--out", str(tmp_path / "t.it1b")]
+    else:
+        argv = _reading_argv(command, ws["it1b"], tmp_path / "out", helper_ws["models"])
+    layers = [f"branchlab.{m}" for m in ("charax", "depgraph", "helper", "pipeline", "synth")]
+    code, err, got = _run_probe(argv, [*layers, "numpy"])
+    assert (code, err) == (0, "")
+    assert got.replace("branchlab.", "") == loaded
 
 
 def test_bad_trace_among_good_ones_is_named(helper_ws, tmp_path, capsys):

@@ -118,7 +118,7 @@ class TestWorkedExamples:
             instr(2, reads=[1], writes=[(2, 7)]),
             cond(3, T_IP, reads=[2]),
         ]
-        dist = find_dependency_branches(records, T_IP, window=10)
+        (dist,) = find_dependency_branches(records, [T_IP], window=10)
         assert dist.positions == {0xA00: {1: 1}}
         assert dist.executions == 1
         assert dist.top_dependency() == 0xA00
@@ -131,8 +131,8 @@ class TestWorkedExamples:
             instr(2, reads=[1], writes=[(2, 7)]),
             cond(3, T_IP, reads=[2]),
         ]
-        dist = find_dependency_branches(records, T_IP, window=10,
-                                        direct_reads_only=True)
+        (dist,) = find_dependency_branches(records, [T_IP], window=10,
+                                            direct_reads_only=True)
         assert dist.positions == {}
         assert dist.n_dep_branches == 0
         assert dist.top_dependency() is None
@@ -145,14 +145,14 @@ class TestWorkedExamples:
             cond(2, 0xC00, reads=[9]),   # unrelated; still occupies a slot
             cond(3, T_IP, reads=[1]),
         ]
-        dist = find_dependency_branches(records, T_IP, window=10)
+        (dist,) = find_dependency_branches(records, [T_IP], window=10)
         assert dist.positions == {0xA00: {2: 1}}
 
     def test_shared_out_of_window_state_matches_via_source(self):
         # Both branches read a register nothing in the trace ever writes:
         # they share the instance (SOURCE, ("r", 5)).
         records = [cond(0, 0xA00, reads=[5]), cond(1, T_IP, reads=[5])]
-        dist = find_dependency_branches(records, T_IP, window=10)
+        (dist,) = find_dependency_branches(records, [T_IP], window=10)
         assert dist.positions == {0xA00: {1: 1}}
 
     def test_traversal_governed_by_reader_window(self):
@@ -167,7 +167,7 @@ class TestWorkedExamples:
             instr(3, reads=[1], writes=[(2, 7)]),
             cond(4, T_IP, reads=[2]),
         ]
-        dist = find_dependency_branches(records, T_IP, window=2)
+        (dist,) = find_dependency_branches(records, [T_IP], window=2)
         assert dist.positions == {0xA00: {1: 1}}
 
     def test_candidate_producer_older_than_target_cut_matches_source(self):
@@ -182,8 +182,8 @@ class TestWorkedExamples:
             cond(4, T_IP, reads=[1]),
         ]
         for direct_only in (False, True):
-            dist = find_dependency_branches(records, T_IP, window=3,
-                                            direct_reads_only=direct_only)
+            (dist,) = find_dependency_branches(records, [T_IP], window=3,
+                                                direct_reads_only=direct_only)
             assert dist.positions == {0xA00: {1: 1}}
 
     def test_rewrite_inside_target_window_breaks_the_match(self):
@@ -197,7 +197,7 @@ class TestWorkedExamples:
             instr(3),
             cond(4, T_IP, reads=[1]),
         ]
-        dist = find_dependency_branches(records, T_IP, window=3)
+        (dist,) = find_dependency_branches(records, [T_IP], window=3)
         assert dist.positions == {}
 
     def test_memory_chain(self):
@@ -207,10 +207,10 @@ class TestWorkedExamples:
             instr(2, mem_read=[100], writes=[(1, 3)]),
             cond(3, T_IP, reads=[1]),
         ]
-        dist = find_dependency_branches(records, T_IP, window=10)
+        (dist,) = find_dependency_branches(records, [T_IP], window=10)
         assert dist.positions == {0xA00: {1: 1}}
-        blind = find_dependency_branches(records, T_IP, window=10,
-                                         include_memory=False)
+        (blind,) = find_dependency_branches(records, [T_IP], window=10,
+                                             include_memory=False)
         assert blind.positions == {}
 
     def test_top_dependency_tie_breaks_to_lower_ip(self):
@@ -220,7 +220,7 @@ class TestWorkedExamples:
             cond(2, 0xA10, reads=[1]),
             cond(3, T_IP, reads=[1]),
         ]
-        dist = find_dependency_branches(records, T_IP, window=10)
+        (dist,) = find_dependency_branches(records, [T_IP], window=10)
         assert dist.mass_by_ip() == {0xA10: 1, 0xB10: 1}
         assert dist.top_dependency() == 0xA10
         assert dist.total_mass() == 2
@@ -231,13 +231,13 @@ class TestWorkedExamples:
             cond(1, T_IP, reads=[1]),
             cond(2, T_IP, reads=[1]),
         ]
-        dist = find_dependency_branches(records, T_IP, window=10)
+        (dist,) = find_dependency_branches(records, [T_IP], window=10)
         assert dist.executions == 2
         assert dist.positions == {T_IP: {1: 1}}
 
     def test_never_executing_target_raises(self):
         with pytest.raises(EmptyTargetError):
-            find_dependency_branches([cond(0, 0xA00, reads=[1])], T_IP, window=10)
+            find_dependency_branches([cond(0, 0xA00, reads=[1])], [T_IP], window=10)
 
 
 class TestDefUseWindow:
@@ -305,13 +305,33 @@ def dep_traces(draw):
        st.booleans(), st.booleans())
 @settings(max_examples=150)
 def test_dependencies_match_whole_trace_oracle(records, window, direct_only, memory):
-    got = find_dependency_branches(records, T_IP, window=window,
-                                   direct_reads_only=direct_only,
-                                   include_memory=memory)
+    (got,) = find_dependency_branches(records, [T_IP], window=window,
+                                       direct_reads_only=direct_only,
+                                       include_memory=memory)
     want = oracle_dependencies(records, T_IP, window=window,
                                direct_reads_only=direct_only,
                                include_memory=memory)
     assert got == want
+
+
+@given(dep_traces(), st.data(), st.sampled_from([1, 2, 3, 9, 100]),
+       st.booleans(), st.booleans())
+@settings(max_examples=100)
+def test_one_walk_equals_a_walk_per_ip(records, data, window, direct_only, memory):
+    """Every ip's distribution from one walk over several targets, duplicates
+    included, equals that of a walk for the ip alone; a target that never
+    executes fails the walk, the first such ip in argument order named."""
+    executed = sorted({r.ip for r in records if r.is_branch and r.kind is BranchKind.COND})
+    ips = data.draw(st.lists(st.sampled_from(executed), min_size=1, max_size=6))
+    kw = dict(window=window, direct_reads_only=direct_only, include_memory=memory)
+    got = find_dependency_branches(records, ips, **kw)
+    assert [d.target_ip for d in got] == ips
+    assert got == [find_dependency_branches(records, [ip], **kw)[0] for ip in ips]
+    missing = data.draw(st.lists(st.sampled_from([0xD00, 0xE00]), min_size=1, max_size=2))
+    mixed = data.draw(st.permutations(ips + missing))
+    first = next(ip for ip in mixed if ip in missing)
+    with pytest.raises(EmptyTargetError, match=f"^{first:#x} never executes"):
+        find_dependency_branches(records, mixed, **kw)
 
 
 @given(dep_traces(), st.sampled_from([1, 2, 4, 7, 100]), st.booleans())
@@ -367,9 +387,9 @@ def scan_keeping_index(records, window, direct_only, memory):
             built.append(self)
 
     with mock.patch.object(depgraph, "CondSliceIndex", Recorded):
-        dist = find_dependency_branches(records, T_IP, window=window,
-                                        direct_reads_only=direct_only,
-                                        include_memory=memory)
+        (dist,) = find_dependency_branches(records, [T_IP], window=window,
+                                            direct_reads_only=direct_only,
+                                            include_memory=memory)
     (index,) = built
     return dist, index
 
@@ -471,7 +491,7 @@ def test_planted_gate_is_sole_dependency():
         filler_density=0.5,
     )
     records, manifest = generate_trace(spec, seed=11, length=4000)
-    dist = find_dependency_branches(records, 0x400100, window=2000)
+    (dist,) = find_dependency_branches(records, [0x400100], window=2000)
     assert set(dist.positions) == {0x400200}
     assert dist.mass_by_ip()[0x400200] == dist.executions
     assert dist.top_dependency() == 0x400200

@@ -30,6 +30,8 @@ from branchlab.predictors import (
     SimRecord,
     simulate,
 )
+from branchlab.predictors.base import counter_confidence
+from branchlab.predictors.ensemble import resolve_budget
 from branchlab.predictors.packed import FieldLayout
 from branchlab.predictors.sc import LAYOUT, THETA_MAX, THETA_MIN, WEIGHT_BITS, WINDOWS, mirror
 from branchlab.synth import Biased, DataDependent, RarePool, SyntheticProgramSpec, generate_trace
@@ -78,25 +80,27 @@ class TestBimodal:
     def test_two_strikes_to_flip(self):
         p = Bimodal(64)
         ip = 0x40
-        for t in (True, True):   # counter 1 -> 3
-            p.update(cond(0, ip, t))
-        assert p.predict(ip)[0] is True
-        p.update(cond(2, ip, False))
-        assert p.predict(ip)[0] is True   # still saturated-ish at 2
-        p.update(cond(3, ip, False))
-        assert p.predict(ip)[0] is False
+        for i, t in enumerate((True, True)):   # counter 1 -> 3
+            p.step(cond(i, ip, t))
+        # step returns the prediction made before its own update
+        assert p.step(cond(2, ip, False)) == (True, "bimodal")
+        assert p.step(cond(3, ip, False)) == (True, "bimodal")   # still saturated-ish at 2
+        assert p.step(cond(4, ip, False)) == (False, "bimodal")
 
     def test_confidence_is_3_only_when_saturated(self):
         p = Bimodal(64)
-        assert p.predict(0x40)[1] == 0
-        for i in range(4):
-            p.update(cond(i, 0x40, True))
-        assert p.predict(0x40) == (True, 3)
+        i = (0x40 >> 2) & 63
+        assert counter_confidence(p.table[i], 3) == 0
+        for seq in range(4):
+            p.step(cond(seq, 0x40, True))
+        assert p.table[i] == 3 and counter_confidence(p.table[i], 3) == 3
+        assert p.step(cond(4, 0x40, True)) == (True, "bimodal")
+        assert [counter_confidence(c, 3) for c in range(4)] == [3, 0, 0, 3]
 
     def test_non_cond_ignored(self):
         p = Bimodal(64)
         before = list(p.table)
-        p.update(BranchRecord(seq=0, ip=0x40, kind=BranchKind.UNCOND, target=0x80))
+        assert p.step(BranchRecord(seq=0, ip=0x40, kind=BranchKind.UNCOND, target=0x80)) is None
         assert p.table == before
 
     def test_entries_must_be_pow2(self):
@@ -126,7 +130,9 @@ class TestGshare:
 class TestAlwaysTaken:
     def test_fixed_output(self):
         p = AlwaysTaken()
-        assert p.predict(0x1234) == (True, 3)
+        assert p.step(cond(0, 0x1234, False)) == (True, "always-taken")
+        assert p.step(cond(1, 0x1234, True)) == (True, "always-taken")
+        assert p.step(BranchRecord(seq=2, ip=0x1234, kind=BranchKind.RET, target=0x40)) is None
         assert p.storage_bytes() == 0
 
 
@@ -195,10 +201,9 @@ class TestLoopPredictor:
         for _ in range(instances):
             for it in range(trip):
                 taken = it < trip - 1
-                predicted = lp.prediction(ip)
+                predicted = lp.retire(ip, taken)
                 if not taken:
                     verdicts.append(predicted is False)
-                lp.update(cond(seq, ip, taken))
                 seq += 1
         return verdicts
 
@@ -210,22 +215,22 @@ class TestLoopPredictor:
     def test_mid_body_iterations_predicted_taken(self):
         lp = LoopPredictor()
         self.run_instances(lp, trip=5, instances=4)
-        lp.update(cond(100, 0x600, True))   # first retirement of instance 5
-        assert lp.prediction(0x600) is True
+        lp.retire(0x600, True)   # first retirement of instance 5
+        assert lp.retire(0x600, True) is True
 
     def test_trip_change_resets_confidence(self):
         lp = LoopPredictor()
         self.run_instances(lp, trip=5, instances=4)
         self.run_instances(lp, trip=7, instances=1)
-        assert lp.prediction(0x600) is None
+        assert lp.retire(0x600, True) is None
 
     def test_occupied_slot_ages_before_takeover(self):
         lp = LoopPredictor(entries=1)
         self.run_instances(lp, trip=4, instances=4, ip=0x600)
-        assert lp.prediction(0x600) is not None
-        other = 0x600 + (1 << 12)   # same slot, different tag
-        lp.update(cond(0, other, True))
-        assert lp.prediction(0x600) is not None   # survived one contender touch
+        assert lp.retire(0x600, True) is not None
+        other = 0x600 + (1 << 2)   # one slot holds every ip; the tag differs
+        assert lp.retire(other, True) is None
+        assert lp.retire(0x600, True) is not None   # survived one contender touch
 
     def test_storage(self):
         assert LoopPredictor(64).storage_bytes() == 64 * 39 // 8
@@ -257,7 +262,7 @@ class TestTage:
         t = Tage(seed=0)
         rng = random.Random(1)
         for i in range(300):
-            t.update(cond(i, rng.randrange(1 << 30) << 2, rng.random() < 0.5))
+            t.step(cond(i, rng.randrange(1 << 30) << 2, rng.random() < 0.5))
             indices, tags = t._indices_tags(rng.randrange(1 << 48))
             for j, (idx, tag) in enumerate(zip(indices, tags)):
                 assert 0 <= idx < t.config.entries_per_table
@@ -267,7 +272,7 @@ class TestTage:
         t = Tage(seed=0)
         rng = random.Random(7)
         for i in range(4000):
-            t.update(cond(i, 0x100 + 16 * rng.randrange(8), rng.random() < 0.5))
+            t.step(cond(i, 0x100 + 16 * rng.randrange(8), rng.random() < 0.5))
         telem = t.allocation_telemetry()
         assert telem
         for stats in telem.values():
@@ -284,7 +289,7 @@ class TestTage:
         t = Tage(seed=0)
         before_path = t.history.path
         before_dir = t.history.window(32)
-        t.update(BranchRecord(seq=0, ip=0xABCD0, kind=BranchKind.CALL, target=0x10))
+        assert t.step(BranchRecord(seq=0, ip=0xABCD0, kind=BranchKind.CALL, target=0x10)) is None
         assert t.history.path != before_path
         assert t.history.window(32) == before_dir
 
@@ -336,17 +341,20 @@ class TestStatisticalCorrector:
 class TestEnsemble:
     def test_budget_grid(self):
         assert ensemble_config(8192).budget_bytes == 8192
-        assert ensemble_config("64kb").tage.num_tagged_tables == 15
-        assert ensemble_config("8kb").tage.max_hist == 1000
-        assert ensemble_config("64kb").tage.max_hist == 3000
+        assert ensemble_config(resolve_budget("64kb")).tage.num_tagged_tables == 15
+        assert ensemble_config(resolve_budget("8kb")).tage.max_hist == 1000
+        assert ensemble_config(resolve_budget("64kb")).tage.max_hist == 3000
+        assert resolve_budget(" 8192B ") == resolve_budget("8192") == 8192
         for budget in (16384, 32768, 131072):
             cfg = ensemble_config(budget)
             assert 0.9 * budget <= cfg.storage_bytes() <= 1.1 * budget
 
     def test_off_grid_budgets_rejected(self):
-        for bad in (4096, 12288, 8192 * 3, "5kb"):
+        for bad in (4096, 12288, 8192 * 3, resolve_budget("5kb")):
             with pytest.raises(ConfigError):
                 ensemble_config(bad)
+        with pytest.raises(ConfigError, match="unparseable storage budget"):
+            resolve_budget("8.5kb")
 
     def test_provider_labels(self):
         p = TageSCL(seed=0)

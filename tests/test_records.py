@@ -2,13 +2,7 @@
 
 import pytest
 
-from branchlab.records import (
-    BranchKind,
-    BranchRecord,
-    InstructionRecord,
-    branch_trace_meta,
-    instr_trace_meta,
-)
+from branchlab.records import BranchKind, BranchRecord, InstructionRecord
 
 
 def cond(seq, ip=0x1000, taken=True):
@@ -77,32 +71,3 @@ class TestInstructionRecord:
     def test_to_branch_on_non_branch_rejected(self):
         with pytest.raises(ValueError):
             InstructionRecord(seq=0, ip=0x100).to_branch()
-
-
-class TestTraceMeta:
-    def test_branch_meta_infers_instructions_from_last_seq(self):
-        records = [cond(5), cond(90, taken=False)]
-        meta = branch_trace_meta(records)
-        assert meta.instructions == 91
-        assert meta.records == 2
-        assert meta.cond_branches == 2
-
-    def test_branch_meta_empty(self):
-        meta = branch_trace_meta([])
-        assert meta.instructions == 0 and meta.records == 0
-
-    def test_instr_meta_counts_conds_only(self):
-        records = [
-            InstructionRecord(seq=0, ip=0x100, regs_written=((0, 1),)),
-            InstructionRecord(
-                seq=1, ip=0x104, is_branch=True, kind=BranchKind.UNCOND,
-                target=0x200, taken=True,
-            ),
-            InstructionRecord(
-                seq=2, ip=0x200, is_branch=True, kind=BranchKind.COND,
-                target=0x240, taken=True, regs_read=frozenset((0,)),
-            ),
-        ]
-        meta = instr_trace_meta(records)
-        assert meta.instructions == 3
-        assert meta.cond_branches == 1
