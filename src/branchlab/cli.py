@@ -12,12 +12,12 @@ gen and train-helper name none) and prints it as one line under --json.
 The output directory is made only after the inputs have loaded.
 
 Each command imports only the layers it runs, inside its handler: the
-generator in ``gen``, the predictors (with numpy) where a predictor is
-built, and each analysis layer (charax, depgraph, pipeline, helper) in
-the handlers that call it. So ``sim`` loads no analysis layer, ``deps``
-and ``regvals`` load only depgraph, and ``recur`` and ``train-helper``
-start without numpy. The parser's defaults come from ``defaults``, which
-the layers read too.
+generator (and with it numpy) in ``gen``, the predictors where a
+predictor is built, and each analysis layer (charax, depgraph, pipeline,
+helper) in the handlers that call it. So ``sim`` loads no analysis layer,
+``deps`` and ``regvals`` load only depgraph, and no command but ``gen``
+imports numpy. The parser's defaults come from ``defaults``, which the
+layers read too.
 
 Every reading command recognizes a trace's format from its bytes, whatever
 the file is named; only ``gen`` chooses one (``--format`` or the extension).

@@ -2,8 +2,7 @@
 
 ``simulate`` and its stream types load with the package. Every other name
 loads its module on first access, so code that only reads streams (charax,
-helper) does not import the predictors, nor numpy through their history
-folds.
+helper) does not import the predictors. No predictor imports numpy.
 """
 
 from importlib import import_module

@@ -9,8 +9,12 @@ from typing import Iterable, Sequence
 from ..records import BranchRecord
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class SimRecord:
+    """One COND record's prediction outcome. Not frozen: a frozen
+    dataclass costs about four times as much to build, and one is built
+    per COND record; no caller hashes or mutates one."""
+
     seq: int
     ip: int
     predicted: bool

@@ -15,12 +15,13 @@ import random
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-import numpy as np
-
 from ..errors import ConfigError
 from ..records import BranchKind, BranchRecord
 from .base import ConditionalPredictor, counter_confidence, require_pow2
-from .history import FoldedRegister, GlobalHistory, fold_history, fold_trace
+from .history import (
+    LANE, LANE_MASK, FoldedRegister, GlobalHistory, fold_history, fold_trace, lane_ones,
+    pack_lanes, unpack_lanes,
+)
 
 # use-alt heuristic: entry counts as newly allocated for this many updates
 FRESH_UPDATES = 4
@@ -29,10 +30,9 @@ COUNTER_BITS = 3
 USEFUL_BITS = 2
 # path window folded into each index hash, bits (2 path chunks)
 PATH_MIX_BITS = 32
-# COND records whose indices and tags are computed in one numpy pass
+# COND records whose indices and tags are computed in one pass on lane
+# vectors; it bounds the size of their ints
 TRACE_BLOCK = 1 << 14
-# pc bits kept for the numpy hashes; indices and tags read far fewer
-_PC_MASK = (1 << 62) - 1
 
 # Counter tables, read by [counter] and [counter][outcome]. A tagged
 # counter c >= 0 sits at index c and a negative one c places from the end,
@@ -297,52 +297,51 @@ class Tage(ConditionalPredictor):
         In a trace-driven run the history before every branch depends on
         the trace alone. So the table indices and tags that step() would
         hash before each COND record, and the newest ``window`` direction
-        bits (bit 0 newest; 0 when ``window`` is 0), are computed with
-        numpy for the whole trace. On return the history and the folded
-        registers already hold the state after the last record. The
-        returned iterator yields (record, indices, tags, window_bits) per
-        COND record in order; a walk() per element, in that order, leaves
-        every table as step() over each record would.
+        bits (bit 0 newest; 0 when ``window`` is 0), are computed for the
+        whole trace on lane vectors (see ``history``), TRACE_BLOCK COND
+        records at a time. On return the history and the folded registers
+        already hold the state after the last record. The returned
+        iterator yields (record, indices, tags, window_bits) per COND
+        record in order; a walk() per element, in that order, leaves every
+        table as step() over each record would.
         """
         h = self.history
         cap = h.capacity
         chunk_bits = GlobalHistory.PATH_CHUNK_BITS
-        ips = [r.ip for r in records]
-        cond_at = [i for i, r in enumerate(records) if r.kind is BranchKind.COND]
-        conds = [records[i] for i in cond_at]
+        path_mask = (1 << PATH_MIX_BITS) - 1
+        # the path each COND record hashes: the low PATH_MIX_BITS of the
+        # path history before it
+        conds = []
+        paths = []
+        path = h.path & path_mask
+        for r in records:
+            if r.kind is BranchKind.COND:
+                conds.append(r)
+                paths.append(path)
+            path = ((path << chunk_bits) | (r.ip & 0xFFFF)) & path_mask
         n = len(conds)
-        directions = np.fromiter((r.taken for r in conds), dtype=np.uint8, count=n)
+        directions = [r.taken for r in conds]
+        pcs = [r.ip >> 2 for r in conds]
         # the live history, oldest first, then the trace's outcomes
-        live = np.frombuffer(h.bits.to_bytes((cap + 7) // 8, "little"), dtype=np.uint8)
-        live = np.unpackbits(live, count=cap, bitorder="little")[::-1]
-        bits = np.concatenate([live, directions])
-        # the live path chunks, oldest first, then the trace's ips: chunk c
-        # (0 newest) before record r sits at r + chunks - 1 - c
-        chunks = PATH_MIX_BITS // chunk_bits
-        live_path = [(h.path >> (chunk_bits * c)) & 0xFFFF for c in range(chunks - 1, -1, -1)]
-        path_ips = np.array(live_path + [ip & 0xFFFF for ip in ips], dtype=np.int64)
-        at = np.array(cond_at, dtype=np.int64)
-        paths = np.zeros(n, dtype=np.int64)
-        for c in range(chunks):
-            paths |= path_ips[at + chunks - 1 - c] << (chunk_bits * c)
-        pcs = np.array([(r.ip >> 2) & _PC_MASK for r in conds], dtype=np.int64)
+        bits = pack_lanes([(h.bits >> age) & 1 for age in range(cap - 1, -1, -1)] + directions)
 
         # the state after the last record
-        for reg, comp in zip(self._registers(), self._trace_folds(bits[n:])[:, -1].tolist()):
+        for reg, comp in zip(self._registers(), self._trace_folds(bits >> LANE * n, cap)):
             reg.comp = comp
-        h.push_many(directions, ips)
+        h.push_many(directions, [r.ip for r in records[-h.PATH_ENTRIES:]])
 
         def lookups():
             for lo in range(0, n, TRACE_BLOCK):
                 hi = min(lo + TRACE_BLOCK, n)
                 # the states before COND lo..hi-1 need cap bits of lookback
-                seg = bits[lo:cap + hi - 1]
-                indices, tags = self._trace_hashes(seg, pcs[lo:hi], paths[lo:hi])
+                count = cap + hi - lo - 1
+                seg = (bits >> LANE * lo) & ((1 << LANE * count) - 1)
+                indices, tags = self._trace_hashes(seg, count, pcs[lo:hi], paths[lo:hi])
                 if window:
-                    windows = fold_trace(seg, [window], window, cap)[0].tolist()
+                    windows = unpack_lanes(fold_trace(seg, count, [window], window, cap)[0], hi - lo)
                 else:
                     windows = [0] * (hi - lo)
-                yield from zip(conds[lo:hi], indices.T.tolist(), tags.T.tolist(), windows)
+                yield from zip(conds[lo:hi], indices, tags, windows)
 
         return lookups()
 
@@ -350,32 +349,54 @@ class Tage(ConditionalPredictor):
         """Every fold register, table by table, each table's (fi, f0, f1)."""
         return [reg for regs in self.folds for reg in regs]
 
-    def _trace_folds(self, seg: np.ndarray) -> np.ndarray:
-        """The comp of every register of _registers(), one row each, after
-        each of seg[:cap], seg[:cap + 1] .. seg, where cap is the history
+    def _trace_folds(self, seg: int, count: int) -> list[int]:
+        """The comp of every register of _registers(), one lane vector
+        each, after each of the first cap, cap + 1 .. count outcomes of
+        ``seg`` (lane-packed, oldest in lane 0), where cap is the history
         capacity; one fold_trace per distinct register width."""
         cap = self.history.capacity
         registers = self._registers()
         rows_of: dict[int, list[int]] = {}
         for row, reg in enumerate(registers):
             rows_of.setdefault(reg.width, []).append(row)
-        out = np.empty((len(registers), len(seg) + 1 - cap), dtype=np.int64)
+        out = [0] * len(registers)
         for width, rows in rows_of.items():
-            out[rows] = fold_trace(seg, [registers[r].length for r in rows], width, cap)
+            folds = fold_trace(seg, count, [registers[r].length for r in rows], width, cap)
+            for row, fold in zip(rows, folds):
+                out[row] = fold
         return out
 
-    def _trace_hashes(self, seg, pcs, paths) -> tuple[np.ndarray, np.ndarray]:
-        """Table indices and tags, one row per table, as _indices_tags()
-        computes them at each state _trace_folds(seg) gives."""
-        folds = self._trace_folds(seg)
-        fi, f0, f1 = folds[0::3], folds[1::3], folds[2::3]
-        widths = [min(L, PATH_MIX_BITS) for L in self.lengths]
-        pfolds = {pb: fold_history(paths, pb, self.index_bits) for pb in set(widths)}
-        pfold = np.stack([pfolds[pb] for pb in widths])
-        shifts = np.array(self._pc_shifts, dtype=np.int64)[:, None]
-        indices = (pcs ^ (pcs >> shifts) ^ fi ^ pfold) & self._idx_mask
-        tags = (pcs ^ f0 ^ (f1 << 1)) & np.array(self._tag_masks, dtype=np.int64)[:, None]
-        return indices, tags
+    def _trace_hashes(self, seg: int, count: int, pcs: list[int],
+                      paths: list[int]) -> tuple[Iterator[list[int]], Iterator[list[int]]]:
+        """Table indices and tags, one list of each per COND record, as
+        _indices_tags() computes them at each state _trace_folds(seg,
+        count) gives; ``pcs`` holds each record's ip >> 2 and ``paths``
+        the path history it hashes."""
+        m = len(pcs)
+        ones = lane_ones(m)
+        folds = self._trace_folds(seg, count)
+        pc = pack_lanes([p & LANE_MASK for p in pcs])
+        path = pack_lanes(paths)
+        pfolds = {}
+        idx_mask = self._idx_mask * ones
+        index_rows = []
+        tag_rows = []
+        for t, (L, shift, tag_mask) in enumerate(
+            zip(self.lengths, self._pc_shifts, self._tag_masks)
+        ):
+            fi, f0, f1 = folds[3 * t:3 * t + 3]
+            pb = min(L, PATH_MIX_BITS)
+            if pb not in pfolds:
+                pfolds[pb] = fold_history(path, pb, self.index_bits, ones)
+            # lane i + 1 shifts into the top bits of lane i, which the index
+            # mask drops as long as the index reads no pc bit above the lane
+            if shift + self.index_bits <= LANE:
+                high = pc >> shift
+            else:
+                high = pack_lanes([(p >> shift) & LANE_MASK for p in pcs])
+            index_rows.append(unpack_lanes((pc ^ high ^ fi ^ pfolds[pb]) & idx_mask, m))
+            tag_rows.append(unpack_lanes((pc ^ f0 ^ (f1 << 1)) & tag_mask * ones, m))
+        return map(list, zip(*index_rows)), map(list, zip(*tag_rows))
 
     def allocation_telemetry(self) -> dict[int, AllocationStats]:
         return {

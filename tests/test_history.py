@@ -1,11 +1,13 @@
 """Global-history bookkeeping: windows, path chunks, folded registers."""
 
-import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from branchlab.errors import ArgumentError
-from branchlab.predictors.history import FoldedRegister, GlobalHistory, fold_history, fold_trace
+from branchlab.predictors.history import (
+    LANE, FoldedRegister, GlobalHistory, fold_history, fold_trace, lane_ones, pack_lanes,
+    unpack_lanes,
+)
 
 
 class TestFoldHistory:
@@ -66,12 +68,40 @@ def rotate_left(value, shift, width):
     return ((value << shift) | (value >> (width - shift))) & ((1 << width) - 1)
 
 
+def trace_states(directions, lengths, width, start=0):
+    """fold_trace over a list of outcomes, each length's lanes as a list."""
+    n = len(directions)
+    folds = fold_trace(pack_lanes(directions), n, lengths, width, start)
+    return [unpack_lanes(fold, n + 1 - start).tolist() for fold in folds]
+
+
+class TestLanes:
+    @given(st.lists(st.integers(0, (1 << LANE) - 1), max_size=50))
+    def test_pack_and_unpack_round_trip(self, values):
+        packed = pack_lanes(values)
+        assert packed < 1 << (LANE * len(values))
+        assert unpack_lanes(packed, len(values)).tolist() == values
+        # lane i sits at bits LANE*i onward
+        assert all((packed >> (LANE * i)) & ((1 << LANE) - 1) == v for i, v in enumerate(values))
+
+    @given(st.lists(st.integers(0, (1 << LANE) - 1), min_size=1, max_size=30),
+           st.integers(0, LANE), st.integers(1, LANE))
+    def test_fold_history_folds_each_lane(self, values, length, width):
+        """Each lane of a lane-packed fold is the scalar fold of that lane."""
+        n = len(values)
+        got = fold_history(pack_lanes(values), length, width, lane_ones(n))
+        assert unpack_lanes(got, n).tolist() == [fold_history(v, length, width) for v in values]
+
+
 class TestFoldTrace:
-    # L < w, L % w == 0 (twice), neither, and L longer than any drawn stream
-    @pytest.mark.parametrize("length,width", [(3, 8), (16, 8), (24, 12), (13, 5), (90, 7)])
+    # L < w, L % w == 0 (twice), neither, L longer than any drawn stream,
+    # and the full lane width
+    @pytest.mark.parametrize("length,width", [
+        (3, 8), (16, 8), (24, 12), (13, 5), (90, 7), (32, 32), (75, 32),
+    ])
     @given(directions=st.lists(st.booleans(), max_size=80))
     def test_matches_rolling_register_and_refold(self, length, width, directions):
-        states = fold_trace(np.array(directions, dtype=np.uint8), [length], width)[0]
+        [states] = trace_states(directions, [length], width)
         assert len(states) == len(directions) + 1
         assert states[0] == 0
         gh = GlobalHistory(length)
@@ -83,35 +113,30 @@ class TestFoldTrace:
             # fold_history chunks the window MSB-first, which moves every
             # bit by -length mod width; the two agree when width | length
             refold = fold_history(gh.window(length), length, width)
-            assert refold == rotate_left(int(states[k]), -length, width)
+            assert refold == rotate_left(states[k], -length, width)
             if length % width == 0:
                 assert refold == states[k]
 
     @given(
         st.lists(st.integers(1, 70), min_size=1, max_size=4),
-        st.integers(1, 16),
+        st.integers(1, LANE),
         st.lists(st.booleans(), max_size=120),
         st.data(),
     )
     def test_rows_and_start_slice_the_single_folds(self, lengths, width, directions, data):
-        bits = np.array(directions, dtype=np.uint8)
         start = data.draw(st.integers(0, len(directions)))
-        got = fold_trace(bits, lengths, width, start)
+        got = trace_states(directions, lengths, width, start)
         for row, length in zip(got, lengths):
-            assert row.tolist() == fold_trace(bits, [length], width)[0][start:].tolist()
+            assert row == trace_states(directions, [length], width)[0][start:]
 
     def test_rejects_bad_shape(self):
+        zeros = pack_lanes([0] * 4)
         with pytest.raises(ArgumentError):
-            fold_trace(np.zeros(4, dtype=np.uint8), [8], 63)
+            fold_trace(zeros, 4, [8], LANE + 1)
         with pytest.raises(ArgumentError):
-            fold_trace(np.zeros(4, dtype=np.uint8), [0], 4)
+            fold_trace(zeros, 4, [0], 4)
         with pytest.raises(ArgumentError):
-            fold_trace(np.zeros(4, dtype=np.uint8), [8], 4, start=5)
-
-    def test_fold_history_folds_arrays_elementwise(self):
-        values = [0, 0b1010, 0b10100110, 0xDEADBEEF]
-        got = fold_history(np.array(values, dtype=np.int64), 32, 7)
-        assert got.tolist() == [fold_history(v, 32, 7) for v in values]
+            fold_trace(zeros, 4, [8], 4, start=5)
 
 
 class TestGlobalHistory:
@@ -122,9 +147,9 @@ class TestGlobalHistory:
         st.lists(st.integers(0, (1 << 64) - 1), max_size=8),
         st.booleans(),
     )
-    def test_push_many_equals_single_pushes(self, capacity, before, directions, ips, as_array):
-        """Outcomes come as a list of bools or, as retire_trace passes
-        them, as a numpy uint8 array."""
+    def test_push_many_equals_single_pushes(self, capacity, before, directions, ips, as_ints):
+        """Outcomes come as a list of bools, as retire_trace passes them,
+        or of 0/1 ints."""
         one = GlobalHistory(capacity)
         many = GlobalHistory(capacity)
         for taken in before:
@@ -134,7 +159,7 @@ class TestGlobalHistory:
             one.push_direction(taken)
         for ip in ips:
             one.push_path(ip)
-        many.push_many(np.array(directions, dtype=np.uint8) if as_array else directions, ips)
+        many.push_many([int(d) for d in directions] if as_ints else directions, ips)
         assert (many.bits, many.path) == (one.bits, one.path)
 
     @given(st.integers(1, 300), st.lists(st.booleans(), max_size=400))

@@ -712,6 +712,52 @@ class TestReplay:
             reference.step(rec)
         assert got == want
 
+    @pytest.mark.parametrize("preset", TAGE_PRESETS)
+    def test_trace_blocks_join_seamlessly(self, preset, monkeypatch):
+        """With blocks of a few dozen COND records, retire_trace from a
+        warm state yields the per-record indices, tags and corrector
+        window at every record, across every block boundary, and leaves
+        the history and folds as stepping would."""
+        monkeypatch.setattr("branchlab.predictors.tage.TRACE_BLOCK", 61)
+        records = mixed_kind_stream(n=2_000)
+        split = 700
+        ahead = make_predictor(preset, seed=1)
+        reference = make_predictor(preset, seed=1)
+        for rec in records[:split]:
+            ahead.step(rec)
+            reference.step(rec)
+        ahead = ahead.tage if isinstance(ahead, TageSCL) else ahead
+        ref_tage = reference.tage if isinstance(reference, TageSCL) else reference
+        got = [(i, t, w) for _, i, t, w in ahead.retire_trace(records[split:], 32)]
+        want = []
+        for rec in records[split:]:
+            if rec.kind is BranchKind.COND:
+                want.append((*ref_tage._indices_tags(rec.ip), ref_tage.history.window(32)))
+            reference.step(rec)
+        assert len(want) > 10 * 61
+        assert got == want
+        assert (ahead.history.bits, ahead.history.path) == (ref_tage.history.bits,
+                                                           ref_tage.history.path)
+        assert ([r.comp for r in ahead._registers()]
+                == [r.comp for r in ref_tage._registers()])
+
+    def test_index_reading_pc_bits_above_a_lane(self):
+        """With 2**16 entries per table, table 0's index reads pc bits 17
+        to 32, above a 32-bit lane, and table 1's reach bit 31 exactly:
+        both still equal the per-record hashes on 64-bit ips."""
+        config = TageConfig(num_tagged_tables=2, entries_per_table=1 << 16,
+                            min_hist=4, max_hist=20)
+        records = mixed_kind_stream(n=600)
+        ahead, reference = Tage(config, seed=1), Tage(config, seed=1)
+        got = [(i, t) for _, i, t, _ in ahead.retire_trace(records)]
+        want = []
+        for rec in records:
+            if rec.kind is BranchKind.COND:
+                want.append(reference._indices_tags(rec.ip))
+            reference.step(rec)
+        assert [s + ahead.index_bits for s in ahead._pc_shifts] == [33, 32]
+        assert got == want
+
     def test_probes_reach_every_provider(self, probes):
         """The probe streams drive every arbitration arm of the ensemble,
         so the equality above covers each of them."""
